@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload match-large --seed 1 --seconds 50 --trace 0
+    python3 perfbench/run.py --workload batch-warm --seed 1 --seconds 50 --trace 0
 
 ``--workload`` is ``match-large``, ``batch-warm``, ``serve-mixed`` or
 ``all``. Every run first matches a small seeded pair on the default and
@@ -46,7 +46,7 @@ END_TO_END = {
 }
 
 #: Set-ups per untraced run; setup_s is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 #: A second seed, never used while the benchmark or a change is tuned:
 #: a claimed gain must also hold on it.

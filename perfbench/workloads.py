@@ -11,13 +11,16 @@ ever sees the generated schemas.
   most of the work.
 * ``batch-warm`` — one long-lived ``MatchSession`` holding
   ``MEDIATED_SCHEMAS`` duplicate-heavy 160-leaf mediated schemas, each
-  matched in turn against a new perturbed candidate of itself per op.
+  matched in turn against a new perturbed candidate of itself per op;
+  a latency sample is the mean per-target time of one round over all
+  of them.
   The source tier and token memo are warm, the pair lsim cache always
   misses, and the store is flat.
 * ``serve-mixed`` — the real HTTP daemon in its own process over a
   fresh 64-schema repository, driven in a closed loop by two client
   connections: distinct ``/search`` queries with one ``/ingest`` of a
-  never-queried family member every ``INGEST_EVERY`` ops.
+  never-queried family member every ``INGEST_EVERY`` ops, sent while
+  no search is in flight.
 """
 
 from __future__ import annotations
@@ -73,6 +76,14 @@ SEARCH_CANDIDATES = 4
 INGEST_EVERY = 10
 CLIENTS = 2
 DAEMON_SESSIONS = 2
+
+#: The sessions of batch-warm and serve-mixed keep every schema they
+#: have prepared (``max_prepared_schemas`` defaults to unbounded), so
+#: their memory grows with the ops served. Peak RSS is read once this
+#: many ops have been answered, so that it measures a fixed amount of
+#: work rather than how many ops the host let a run finish; a run that
+#: ends sooner reads it at its end.
+RSS_AFTER_OPS = {"batch-warm": 64, "serve-mixed": 256}
 
 #: Quality floors (F1 vs gold, or share of top-k hits from the query's
 #: own family), set below every value measured over seeds 0-19 at the
@@ -270,6 +281,32 @@ def _failure(kind: str, status, body: str) -> Dict[str, object]:
     return {"op": kind, "status": status, "body": body[:500]}
 
 
+class CpuRotation:
+    """Moves the calling thread to the next CPU of its affinity set.
+
+    On a shared host each vCPU's speed drifts on its own (by up to 1.6x
+    for tens of seconds on a 2-vCPU VM), so a single-threaded op reads the speed of
+    whichever vCPU it happens to sit on. The daemon's threads hop
+    between vCPUs and average them; rotating the in-process workload's
+    matches over the vCPUs does the same for it. :meth:`restore` puts
+    the original affinity back."""
+
+    def __init__(self) -> None:
+        self._home = (os.sched_getaffinity(0)
+                      if hasattr(os, "sched_getaffinity") else set())
+        self._cpus = sorted(self._home)
+        self._turn = 0
+
+    def advance(self) -> None:
+        if len(self._cpus) > 1:
+            os.sched_setaffinity(0, {self._cpus[self._turn % len(self._cpus)]})
+            self._turn += 1
+
+    def restore(self) -> None:
+        if len(self._cpus) > 1:
+            os.sched_setaffinity(0, self._home)
+
+
 def _check_quality(outcome: Outcome) -> None:
     floor = QUALITY_FLOOR[outcome.workload]
     if not outcome.quality >= floor:
@@ -406,6 +443,8 @@ def batch_warm(ctx: Context, seed: int, seconds: float, repeats: int,
     setup, latencies, f1s = [], [], []
     stores, failures = collections.Counter(), []
     attempted = 0
+    rss: Optional[float] = None
+    rotation = CpuRotation()
     if recorder:
         recorder.install()
     try:
@@ -413,6 +452,7 @@ def batch_warm(ctx: Context, seed: int, seconds: float, repeats: int,
             start = time.monotonic()
             session = MatchSession()
             for source, warm_target in zip(sources, warm_targets):
+                rotation.advance()
                 session.prepare(source).build_all()
                 session.match(source, warm_target)
             setup.append(time.monotonic() - start)
@@ -420,23 +460,36 @@ def batch_warm(ctx: Context, seed: int, seconds: float, repeats: int,
         began = time.monotonic()
         index = 0
         while not attempted or time.monotonic() - began < seconds:
-            source = sources[index % MEDIATED_SCHEMAS]
-            target, gold = candidate(seed, source, index)
-            index += 1
-            attempted += 1
-            start = time.perf_counter()
-            try:
-                result = session.match(source, target)
-            except Exception as exc:  # counted, never retried
-                failures.append(_failure("match", None, repr(exc)))
-                continue
-            latencies.append((time.perf_counter() - start) * 1000.0)
-            f1s.append(evaluate_mapping(result.leaf_mapping, gold).f1)
-            stores[session.pipeline.run_stats(
-                result, include_memo=False)["store"]] += 1
-            del result
+            # One round: a new candidate for every mediated schema. Their
+            # costs differ by up to 1.5x, so single matches would give a
+            # multimodal sample whose median jumps between modes.
+            round_ms, round_failed = 0.0, False
+            for source in sources:
+                target, gold = candidate(seed, source, index)
+                index += 1
+                attempted += 1
+                rotation.advance()
+                start = time.perf_counter()
+                try:
+                    result = session.match(source, target)
+                except Exception as exc:  # counted, never retried
+                    failures.append(_failure("match", None, repr(exc)))
+                    round_failed = True
+                    continue
+                round_ms += (time.perf_counter() - start) * 1000.0
+                f1s.append(evaluate_mapping(result.leaf_mapping, gold).f1)
+                stores[session.pipeline.run_stats(
+                    result, include_memo=False)["store"]] += 1
+                del result
+                if attempted == RSS_AFTER_OPS["batch-warm"]:
+                    rss = peak_rss_mb()
+            if not round_failed:
+                latencies.append(round_ms / MEDIATED_SCHEMAS)
         cache = session.cache_info()
+        if rss is None:
+            rss = peak_rss_mb()
     finally:
+        rotation.restore()
         if recorder:
             recorder.uninstall()
     if not latencies:
@@ -449,12 +502,13 @@ def batch_warm(ctx: Context, seed: int, seconds: float, repeats: int,
         quality=statistics.fmean(f1s),
         attempted=attempted,
         failed=len(failures),
-        peak_rss_mb=peak_rss_mb(),
+        peak_rss_mb=rss,
         named={},
         failures=failures[:KEPT_FAILURES],
         info={
             "stores": dict(stores),
             "targets": len(latencies),
+            "rss_after_ops": min(attempted, RSS_AFTER_OPS["batch-warm"]),
             "lsim_hits": cache["lsim_hits"],
             "lsim_misses": cache["lsim_misses"],
         },
@@ -575,7 +629,16 @@ class _ClosedLoop:
     """CLIENTS connections, each sending its next request only after
     the previous reply: op ``i`` is an ingest when ``i % INGEST_EVERY
     == INGEST_EVERY - 1``, otherwise a search for a fresh sibling of
-    family ``i % FAMILIES``."""
+    family ``i % FAMILIES``.
+
+    An ingest is sent only while no search is in flight, and no search
+    is sent until it is answered. The daemon's ingest persists the
+    similarity cache by iterating the shared name-similarity memo,
+    which concurrent searches insert into; overlapping the two fails
+    the ingest now and then (500 ``RuntimeError: dictionary changed
+    size during iteration``), and a benchmark op must not fail at
+    random. Searches still overlap each other on both connections.
+    """
 
     def __init__(self, daemon: Daemon, seed: int, bases, extras,
                  seconds: float) -> None:
@@ -586,12 +649,19 @@ class _ClosedLoop:
         self.seconds = seconds
         self._lock = threading.Lock()
         self._next_op = 0
+        # Exclusive ingests: searches in flight, and whether an ingest
+        # holds (or waits for) the daemon.
+        self._gate = threading.Condition()
+        self._searching = 0
+        self._ingesting = False
         self.searches: List[Tuple[float, float]] = []  # (latency ms, recall)
         self.ingests: List[float] = []
         self.attempted = 0
         self.failures: List[Dict[str, object]] = []
         self.failed = 0
         self.problems: List[str] = []
+        self.answered = 0
+        self.rss_mb: Optional[float] = None
 
     def _request(self, op: int):
         if op % INGEST_EVERY == INGEST_EVERY - 1:
@@ -634,6 +704,26 @@ class _ClosedLoop:
                 )
             self.searches.append((latency_ms, hits / SEARCH_K))
 
+    def _enter(self, kind: str) -> None:
+        """Wait until ``kind`` may be sent (see the class docstring)."""
+        with self._gate:
+            while self._ingesting:
+                self._gate.wait()
+            if kind == "ingest":
+                self._ingesting = True
+                while self._searching:
+                    self._gate.wait()
+            else:
+                self._searching += 1
+
+    def _leave(self, kind: str) -> None:
+        with self._gate:
+            if kind == "ingest":
+                self._ingesting = False
+            else:
+                self._searching -= 1
+            self._gate.notify_all()
+
     def _client(self, stop_at: float) -> None:
         conn = self.daemon.connection()
         try:
@@ -643,6 +733,7 @@ class _ClosedLoop:
                     self._next_op += 1
                     self.attempted += 1
                 kind, body, family = self._request(op)
+                self._enter(kind)
                 start = time.monotonic()
                 try:
                     conn.request("POST", "/" + kind, body=body, headers={
@@ -653,8 +744,14 @@ class _ClosedLoop:
                     raw, status = repr(exc).encode(), None
                     conn.close()
                     conn = self.daemon.connection()
-                latency_ms = (time.monotonic() - start) * 1000.0
+                finally:
+                    latency_ms = (time.monotonic() - start) * 1000.0
+                    self._leave(kind)
                 self._record(kind, family, status, raw, latency_ms)
+                with self._lock:
+                    self.answered += 1
+                    if self.answered == RSS_AFTER_OPS["serve-mixed"]:
+                        self.rss_mb = peak_rss_mb(self.daemon.proc.pid)
         except Exception as exc:
             with self._lock:
                 self.problems.append(f"client crashed: {exc!r}")
@@ -713,7 +810,9 @@ def serve_mixed(ctx: Context, seed: int, seconds: float, repeats: int,
 
         loop = _ClosedLoop(daemon, seed, bases, extras, seconds)
         began, ended = loop.run()
-        rss = peak_rss_mb(daemon.proc.pid)
+        rss = loop.rss_mb
+        if rss is None:
+            rss = peak_rss_mb(daemon.proc.pid)
         stats = daemon.get_json("/stats")
         daemon.stop()
         snapshot = layertrace.load_snapshot(spans_path) if traced else None
@@ -741,6 +840,7 @@ def serve_mixed(ctx: Context, seed: int, seconds: float, repeats: int,
         info={
             "searches": len(latencies),
             "ingests": len(loop.ingests),
+            "rss_after_ops": min(loop.answered, RSS_AFTER_OPS["serve-mixed"]),
             "clients": CLIENTS,
             "daemon_sessions": DAEMON_SESSIONS,
         },
