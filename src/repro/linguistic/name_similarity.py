@@ -675,10 +675,17 @@ class NameSimilarityMemo:
         cold-token cost of the category-class compatibility scan is
         paid once per deployment, not once per process. Values
         round-trip bit-exactly through JSON (repr-based floats).
+
+        Safe against concurrent inserts without a lock on the hot
+        path: serving threads keep filling the memo while another
+        thread saves it, so every live dict (including each token row)
+        is snapshotted with ``dict.copy()`` — one C call that holds the
+        GIL throughout — and only the snapshots are iterated.
         """
+        token = self._token.copy()
         return {
-            "token": {a: dict(row) for a, row in self._token.items()},
-            "element": self._nest(self._element),
+            "token": {a: row.copy() for a, row in token.items()},
+            "element": self._nest(self._element.copy()),
         }
 
     def preload_cache(

@@ -28,8 +28,8 @@ echoed in the ``X-Request-Id`` response header, stamped on every span
 and structured log line, and carried in error bodies so 5xx responses
 are attributable in client logs. ``/search`` and ``/match`` bodies
 may set ``"trace": true`` to get a ``trace`` block: the request's
-full span tree (HTTP → service → repository → pipeline → sharded
-workers), arming the process-wide tracer if it wasn't already.
+full span tree (HTTP → service → repository → pipeline stages →
+TreeMatch passes), arming the process-wide tracer if it wasn't already.
 Requests slower than ``config.slow_request_ms`` emit one structured
 JSON log line on stderr (0 disables).
 
@@ -42,9 +42,8 @@ through the matching importer). Search/match responses carry a
 
 Error taxonomy → status codes: :class:`BadRequestError` → 400,
 unknown path → 404, :class:`ServiceOverloadedError` /
-:class:`ServiceClosedError` / :class:`ParallelError` (a worker pool
-that died twice) → 503 with a jittered ``Retry-After`` header,
-:class:`RequestTimeoutError` → 504,
+:class:`ServiceClosedError` → 503 with a jittered ``Retry-After``
+header, :class:`RequestTimeoutError` → 504,
 :class:`RepositoryReadOnlyError` (degraded to read-only, e.g. disk
 full) → 507, :class:`RepositoryError` → 404 (unknown schema id) and
 other library errors → 400. Bodies are ``{"error": <class name>,
@@ -65,7 +64,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import (
     BadRequestError,
-    ParallelError,
     RepositoryError,
     RepositoryReadOnlyError,
     ReproError,
@@ -321,7 +319,7 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
         The HTTP edge span is still open while the response is being
         built, so the block carries its completed children — the
         ``serve.*`` span whose subtree spans service → repository →
-        pipeline → sharded workers. The edge timing itself is the
+        pipeline stages → TreeMatch passes. The edge timing itself is the
         response's ``latency_ms`` block.
         """
         if not body.get("trace"):
@@ -451,10 +449,6 @@ def _status_for(exc: Exception) -> int:
     if isinstance(exc, RequestTimeoutError):
         return 504
     if isinstance(exc, (ServiceOverloadedError, ServiceClosedError)):
-        return 503
-    if isinstance(exc, ParallelError):
-        # The worker pool died twice in a row; the service already
-        # rebuilt it once, so the client should back off and retry.
         return 503
     if isinstance(exc, ServingError):
         return 500

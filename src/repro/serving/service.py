@@ -50,11 +50,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import faults
-from repro.exceptions import (
-    ParallelError,
-    ServiceClosedError,
-    ServiceOverloadedError,
-)
+from repro.exceptions import ServiceClosedError, ServiceOverloadedError
 from repro.model.schema import Schema
 from repro.obs import trace
 from repro.pipeline.prepared import PreparedSchema
@@ -130,9 +126,6 @@ class MatchService:
         self._admission_lock = threading.Lock()
         self._admitted = 0
         self._closed = False
-        #: Requests that survived a worker-pool death via the one-shot
-        #: fresh-pool retry (the self-healing counter in /stats).
-        self._worker_pool_retries = 0
         self._compaction_lock = threading.Lock()
         self._compaction_thread: Optional[threading.Thread] = None
         self._compaction_timer: Optional[threading.Timer] = None
@@ -195,23 +188,7 @@ class MatchService:
                         faults.check("serve.execute")
                         session = self._idle.get()
                         try:
-                            try:
-                                return fn(session, deadline, *args)
-                            except ParallelError:
-                                # The dead pool evicted itself from the
-                                # process-wide registry, so re-running
-                                # the request builds fresh workers. One
-                                # retry: a pool that dies twice in a
-                                # row is a systemic failure the caller
-                                # must see.
-                                with self._admission_lock:
-                                    self._worker_pool_retries += 1
-                                trace.annotate(worker_pool_retry=True)
-                                deadline.check(
-                                    f"{endpoint} retrying on a fresh "
-                                    "worker pool"
-                                )
-                                return fn(session, deadline, *args)
+                            return fn(session, deadline, *args)
                         finally:
                             self._idle.put(session)
             finally:
@@ -447,8 +424,6 @@ class MatchService:
         info["session_pool"] = pool
         info["repository"] = self.repository.cache_info()
         recovery = self.repository.recovery_info()
-        with self._admission_lock:
-            recovery["worker_pool_retries"] = self._worker_pool_retries
         with self._compaction_lock:
             recovery["compaction_retries"] = self._compaction_retries
             recovery["compaction_failures"] = self._compaction_failures

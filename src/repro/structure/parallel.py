@@ -1,87 +1,22 @@
-"""Tile-sharded parallel execution layer for TreeMatch stores.
+"""CPU availability for sizing in-process pools.
 
-The dense stores spend their TreeMatch time in two bulk operations
-over the wsim plane: strong-link row/column max scans
-(``structural_fraction``) and cinc/cdec clamped block multiplies
-(``scale_block``). Both are embarrassingly parallel over disjoint row
-ranges. This module shards them across ``config.workers`` processes:
-
-* the plane is partitioned into **tile-row stripes** (contiguous row
-  ranges aligned to the tile edge — 64 rows for the flat store's
-  virtual tiling, ``block_size`` for the blocked store), one stripe
-  set per worker, fixed for the store's lifetime;
-* for the **flat store** the three ``array('d')`` planes are placed in
-  one ``multiprocessing.shared_memory`` segment; workers map zero-copy
-  views and run their stripe's share of each scan/scale directly on
-  the shared plane;
-* for the **blocked store** each worker owns a stripe **replica** — a
-  mini tile store rebuilt from the same base-class/lsim tables the
-  main store uses. Main stays the authority (TreeMatch reads every
-  pair's wsim from it); every plane mutation is also appended to an op
-  log, and the log is flushed to the owning workers before each
-  sharded scan (owner-merge);
-* each operation ends at a **barrier**: the main process collects
-  every shard's crossed-row/column bits, merges them, and applies the
-  dirty-set crossing stamp exactly once — so the stamp sequence, and
-  with it the prune-aware incremental ``recompute_wsim``, is identical
-  to serial execution.
-
-Bit-identity with ``workers = 1`` holds by construction: every cell
-value is produced by the exact scalar/numpy expressions of
-:mod:`repro.structure.dense` (same operand order, same clamping)
-applied to identical operands, the row/column "any strong link" and
-"any crossing" reductions are order-independent, and the merged stamp
-application reproduces the serial stamp sequence. The fuzz parity
-suite (``tests/test_fuzz_parity.py``) holds that along a dedicated
-workers axis.
-
-Worker processes are pooled per worker-count and reused across stores
-(fork start method where available, spawn otherwise); a worker dying
-mid-request raises :class:`~repro.exceptions.ParallelError` — the
-layer never silently degrades to serial once engaged. The pool is
-thread-safe for the serving subsystem's session pool: replies carry no
-correlation ids, so each pool serializes whole send-all/recv-all
-transactions under one lock (two threads interleaving on the shared
-pipes would each collect the other's replies), and pool creation is
-locked so only one thread ever forks.
+TreeMatch runs as one serial bottom-up pass (each pair reads cells
+that earlier pairs scaled), so the matcher itself never fans out.
+Concurrency comes from callers running independent matches side by
+side — the serving layer's ``MatchService`` session pool sizes itself
+from :func:`available_cpu_count` when asked for one session per CPU.
 """
 
 from __future__ import annotations
 
-import atexit
-import itertools
 import os
-import threading
-import weakref
-from array import array
-from typing import Dict, List, Optional, Tuple
-
-from repro import faults
-from repro.exceptions import ParallelError
-from repro.obs import trace
-
-try:  # optional acceleration, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_FORCE_STDLIB
-    _np = None
-
-try:
-    import multiprocessing
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - multiprocessing is stdlib
-    multiprocessing = None
-    _shm = None
-
-#: Stripe alignment for the flat store (it has no tile grid of its
-#: own; 64 matches the blocked store's default tile edge).
-FLAT_STRIPE_ALIGN = 64
 
 
 def available_cpu_count() -> int:
     """CPUs actually available to this process.
 
     ``os.cpu_count()`` reports the machine, not the cgroup/affinity
-    limits a container imposes — auto-sized worker pools would then
+    limits a container imposes — auto-sized pools would then
     oversubscribe a 2-core cgroup on a 64-core host. Prefer
     ``os.process_cpu_count()`` (3.13+), fall back to the scheduler
     affinity mask, and only then to the raw count."""
@@ -96,883 +31,3 @@ def available_cpu_count() -> int:
         except OSError:  # pragma: no cover - platform quirk
             pass
     return os.cpu_count() or 1
-
-
-def effective_workers(config, max_leaves: int) -> int:
-    """Resolve ``config.workers`` for a plane whose larger side has
-    ``max_leaves`` leaves: 1 (serial) unless workers > 1 after the
-    0 = auto-by-available-cpu expansion AND the plane reaches
-    ``config.parallel_leaf_threshold``."""
-    workers = config.workers
-    if workers == 0:
-        workers = available_cpu_count()
-    if workers <= 1 or multiprocessing is None:
-        return 1
-    if max_leaves < config.parallel_leaf_threshold:
-        return 1
-    return workers
-
-
-def min_parallel_cells(config) -> int:
-    """Per-operation cell floor below which a scan/scale stays
-    serial even on a parallel-active store: IPC round trips only pay
-    for themselves on large regions. Derived from the leaf threshold
-    so tests that force ``parallel_leaf_threshold = 1`` route every
-    operation through the shards."""
-    threshold = config.parallel_leaf_threshold
-    return max(1, min(262144, threshold * threshold))
-
-
-def stripe_plan(n_rows: int, align: int, workers: int) -> List[Tuple[int, int]]:
-    """Partition ``[0, n_rows)`` into per-worker contiguous stripes
-    aligned to ``align``-row boundaries (the tile edge, so no tile is
-    split across owners). Trailing workers may get empty stripes."""
-    tile_rows = -(-n_rows // align) if n_rows else 0
-    per = -(-tile_rows // workers) if tile_rows else 0
-    stripes = []
-    for w in range(workers):
-        r0 = min(n_rows, w * per * align)
-        r1 = min(n_rows, (w + 1) * per * align)
-        stripes.append((r0, r1))
-    return stripes
-
-
-def stripe_owned_subtrees(root, stripes: List[Tuple[int, int]]) -> List[int]:
-    """Per-stripe count of *maximal* subtrees a stripe wholly owns.
-
-    The interval encoding makes a subtree's leaves the contiguous
-    window ``[leaf_lo, leaf_hi)`` of the plane's row order, so "which
-    subtrees does worker w own" is pure window containment: walk down
-    from the root and stop at the first node whose window fits the
-    stripe (its descendants are then owned transitively). Unindexed
-    or gather-list (impure DAG) nodes recurse into their children.
-    Purely observational — surfaced through ``describe()``/``--stats``
-    so shard plans can be read in schema terms."""
-    counts: List[int] = []
-    for r0, r1 in stripes:
-        owned = 0
-        if r1 > r0:
-            seen = set()
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.node_id in seen:
-                    continue
-                seen.add(node.node_id)
-                if node._enc is None or node._leaf_ids is not None:
-                    stack.extend(node.children)
-                    continue
-                lo, hi = node.leaf_lo, node.leaf_hi
-                if lo >= r1 or hi <= r0 or lo >= hi:
-                    continue  # disjoint (or empty): not this stripe's
-                if r0 <= lo and hi <= r1:
-                    owned += 1  # maximal: children owned transitively
-                    continue
-                stack.extend(node.children)
-        counts.append(owned)
-    return counts
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-
-class _PoisonedShard:
-    """Stand-in for a shard whose (no-reply) setup or replay failed:
-    the next reply-bearing request surfaces the original traceback."""
-
-    def __init__(self, message: str) -> None:
-        self.message = message
-
-    def _raise(self, *_args, **_kwargs):
-        raise RuntimeError(self.message)
-
-    scan = scale = apply_ops = _raise
-
-    def close(self) -> None:
-        pass
-
-
-class _FlatShard:
-    """Worker-side view of a flat store's shared-memory planes."""
-
-    def __init__(self, shm_name, n_s, n_t, wl, om, backend) -> None:
-        self.shm = _shm.SharedMemory(name=shm_name)
-        self.n_t = n_t
-        self.wl = wl
-        self.om = om
-        self.use_numpy = backend == "numpy" and _np is not None
-        size = n_s * n_t
-        self._mv = memoryview(self.shm.buf).cast("d")
-        self.S = self._mv[0:size]
-        self.L = self._mv[size:2 * size]
-        self.W = self._mv[2 * size:3 * size]
-        if self.use_numpy:
-            flat = _np.frombuffer(self.shm.buf, dtype=_np.float64,
-                                  count=3 * size)
-            self.Snp = flat[:size].reshape(n_s, n_t)
-            self.Lnp = flat[size:2 * size].reshape(n_s, n_t)
-            self.Wnp = flat[2 * size:3 * size].reshape(n_s, n_t)
-
-    def scan(self, a0, a1, j0, j1, thaccept):
-        """Strong-link bits for rows [a0, a1) of region cols [j0, j1):
-        (per-row any-link bytes, per-column any-link bytes)."""
-        if self.use_numpy:
-            strong = self.Wnp[a0:a1, j0:j1] >= thaccept
-            return (
-                strong.any(axis=1).tobytes(),
-                strong.any(axis=0).tobytes(),
-            )
-        W = self.W
-        n_t = self.n_t
-        row_bits = bytearray(a1 - a0)
-        col_bits = bytearray(j1 - j0)
-        for k, x in enumerate(range(a0, a1)):
-            base = x * n_t
-            for y in range(j0, j1):
-                if W[base + y] >= thaccept:
-                    row_bits[k] = 1
-                    col_bits[y - j0] = 1
-        # The row early-break of the serial scan is a pure speedup; the
-        # column bits here come from the same full pass, and "any" is
-        # order-independent, so the merged bits are identical.
-        return bytes(row_bits), bytes(col_bits)
-
-    def scale(self, a0, a1, j0, j1, factor, thaccept):
-        """Clamped ssim multiply + wsim refresh over rows [a0, a1) of
-        the region, in place on the shared planes. Returns
-        (any_crossed, per-row crossed bytes, per-col crossed bytes)."""
-        if self.use_numpy:
-            rows = slice(a0, a1)
-            cols = slice(j0, j1)
-            wsim_block = self.Wnp[rows, cols]
-            old_strong = wsim_block >= thaccept
-            block = self.Snp[rows, cols]
-            block *= factor
-            _np.clip(block, 0.0, 1.0, out=block)
-            wsim_block[...] = (
-                self.wl * block + self.om * self.Lnp[rows, cols]
-            )
-            crossed = old_strong != (wsim_block >= thaccept)
-            return (
-                bool(crossed.any()),
-                crossed.any(axis=1).tobytes(),
-                crossed.any(axis=0).tobytes(),
-            )
-        S, L, W = self.S, self.L, self.W
-        n_t = self.n_t
-        wl, om = self.wl, self.om
-        row_bits = bytearray(a1 - a0)
-        col_bits = bytearray(j1 - j0)
-        any_crossed = False
-        for k, x in enumerate(range(a0, a1)):
-            base = x * n_t
-            for y in range(j0, j1):
-                flat = base + y
-                value = S[flat] * factor
-                if value > 1.0:
-                    value = 1.0
-                elif value < 0.0:
-                    value = 0.0
-                S[flat] = value
-                old_wsim = W[flat]
-                new_wsim = wl * value + om * L[flat]
-                W[flat] = new_wsim
-                if (old_wsim >= thaccept) != (new_wsim >= thaccept):
-                    any_crossed = True
-                    row_bits[k] = 1
-                    col_bits[y - j0] = 1
-        return any_crossed, bytes(row_bits), bytes(col_bits)
-
-    def apply_ops(self, _ops) -> None:  # flat planes are shared: no log
-        raise RuntimeError("flat shards take no op log")
-
-    def close(self) -> None:
-        if self.use_numpy:
-            self.Snp = self.Lnp = self.Wnp = None
-        self.S = self.L = self.W = None
-        self._mv.release()
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - view freed by gc soon
-            pass
-
-
-class _StripeReplica:
-    """Worker-side replica of a blocked store's stripe.
-
-    Holds solid ssim tiles only where replayed ops changed values;
-    everything else reads from the same base-class table the main
-    store gathers from. wsim is always recomputed as ``wl·s + om·l`` —
-    recomputing the identical expression from identical operands
-    yields the identical double (the invariant the blocked store
-    itself relies on for virtual-cell reads).
-    """
-
-    def __init__(self, spec: Dict) -> None:
-        self.r0, self.r1 = spec["stripe"]
-        self.n_s = spec["n_s"]
-        self.n_t = spec["n_t"]
-        self.block = spec["block"]
-        self.wl = spec["wl"]
-        self.om = spec["om"]
-        self.use_numpy = spec["backend"] == "numpy" and _np is not None
-        self.tiles_t = -(-self.n_t // self.block) if self.n_t else 0
-        self.n_col_classes = spec["n_col_classes"]
-        self.base = array("d", spec["base"])
-        self.row_base = spec["row_base"]
-        self.col_class = spec["col_class"]
-        self.factored = spec["factored"]
-        if self.factored:
-            self.p_s = spec["p_s"]
-            self.p_t = spec["p_t"]
-            self.profile_values = array("d", spec["profile_values"])
-            self.row_prof_base = spec["row_prof_base"]
-            self.col_prof = spec["col_prof"]
-        else:
-            self.lsim_cells = spec["lsim_cells"]
-        #: tid -> solid ssim tile (block² doubles, padded edges).
-        self.tiles: Dict[int, array] = {}
-        self._np_ready = False
-
-    # -- numpy side tables (lazy, mirrors BlockedSimilarityStore) ------
-
-    def _ensure_np(self):
-        if self._np_ready:
-            return
-        self.base_np = _np.frombuffer(
-            self.base, dtype=_np.float64
-        ).reshape(-1, max(1, self.n_col_classes))
-        ncc = max(1, self.n_col_classes)
-        self.row_class_np = _np.asarray(
-            [rb // ncc for rb in self.row_base], dtype=_np.intp
-        )
-        self.col_class_np = _np.asarray(self.col_class, dtype=_np.intp)
-        if self.factored:
-            p_s, p_t = self.p_s, self.p_t
-            padded = _np.zeros((p_s + 1, p_t + 1))
-            if p_s and p_t:
-                padded[:p_s, :p_t] = _np.frombuffer(
-                    self.profile_values, dtype=_np.float64
-                ).reshape(p_s, p_t)
-            self.padded_np = padded
-            self.row_prof_np = _np.asarray(
-                [rb // p_t if rb >= 0 else p_s for rb in self.row_prof_base]
-                if p_t
-                else [0] * self.n_s,
-                dtype=_np.intp,
-            )
-            self.col_prof_np = _np.asarray(
-                [c if c >= 0 else p_t for c in self.col_prof],
-                dtype=_np.intp,
-            )
-        self._np_ready = True
-
-    # -- cell reads ----------------------------------------------------
-
-    def _cell_ssim(self, i, j):
-        tid = (i // self.block) * self.tiles_t + (j // self.block)
-        tile = self.tiles.get(tid)
-        if tile is not None:
-            return tile[(i % self.block) * self.block + (j % self.block)]
-        return self.base[self.row_base[i] + self.col_class[j]]
-
-    def _cell_lsim(self, i, j):
-        if self.factored:
-            rb = self.row_prof_base[i]
-            if rb < 0:
-                return 0.0
-            c = self.col_prof[j]
-            if c < 0:
-                return 0.0
-            return self.profile_values[rb + c]
-        return self.lsim_cells.get(i * self.n_t + j, 0.0)
-
-    def _solid_tile(self, tid):
-        """Materialize a tile from the base classes (no overlays here:
-        the replica applies every write into solid tiles directly)."""
-        tile = self.tiles.get(tid)
-        if tile is not None:
-            return tile
-        block = self.block
-        tile = array("d", bytes(8 * block * block))
-        trow, tcol = divmod(tid, self.tiles_t)
-        i0 = trow * block
-        i1 = min(i0 + block, self.n_s)
-        j0 = tcol * block
-        j1 = min(j0 + block, self.n_t)
-        base = self.base
-        row_base = self.row_base
-        col_class = self.col_class
-        for i in range(i0, i1):
-            rb = row_base[i]
-            off = (i - i0) * block - j0
-            for j in range(j0, j1):
-                tile[off + j] = base[rb + col_class[j]]
-        self.tiles[tid] = tile
-        return tile
-
-    # -- op replay -----------------------------------------------------
-
-    def _decode_rows(self, spec):
-        """Row ids of an op spec, clamped to the stripe."""
-        if isinstance(spec, tuple):
-            return range(max(spec[0], self.r0), min(spec[1], self.r1))
-        return [i for i in spec if self.r0 <= i < self.r1]
-
-    @staticmethod
-    def _decode_cols(spec):
-        if isinstance(spec, tuple):
-            return range(spec[0], spec[1])
-        return spec
-
-    def apply_ops(self, ops) -> None:
-        for op in ops:
-            kind = op[0]
-            if kind == "set":
-                _, i, j, value = op
-                if self.r0 <= i < self.r1 and value != self._cell_ssim(i, j):
-                    tile = self._solid_tile(
-                        (i // self.block) * self.tiles_t + (j // self.block)
-                    )
-                    tile[
-                        (i % self.block) * self.block + (j % self.block)
-                    ] = value
-            elif kind == "scale":
-                _, s_spec, t_spec, factor = op
-                self._replay_scale(
-                    self._decode_rows(s_spec),
-                    self._decode_cols(t_spec),
-                    factor,
-                )
-
-    def _replay_scale(self, rows, cols, factor) -> None:
-        block = self.block
-        tiles_t = self.tiles_t
-        for x in rows:
-            trow = (x // block) * tiles_t
-            off_row = (x % block) * block
-            rb = self.row_base[x]
-            for y in cols:
-                tid = trow + y // block
-                tile = self.tiles.get(tid)
-                if tile is not None:
-                    off = off_row + y % block
-                    old = tile[off]
-                else:
-                    old = self.base[rb + self.col_class[y]]
-                value = old * factor
-                if value > 1.0:
-                    value = 1.0
-                elif value < 0.0:
-                    value = 0.0
-                if value == old:
-                    continue
-                if tile is None:
-                    tile = self._solid_tile(tid)
-                    off = off_row + y % block
-                tile[off] = value
-
-    # -- scans ---------------------------------------------------------
-
-    def scan(self, a0, a1, j0, j1, thaccept):
-        """Strong-link bits for stripe rows [a0, a1) × cols [j0, j1)."""
-        if self.use_numpy:
-            self._ensure_np()
-            return self._scan_np(a0, a1, j0, j1, thaccept)
-        row_bits = bytearray(a1 - a0)
-        col_bits = bytearray(j1 - j0)
-        wl, om = self.wl, self.om
-        for k, x in enumerate(range(a0, a1)):
-            for y in range(j0, j1):
-                wsim = wl * self._cell_ssim(x, y) + om * self._cell_lsim(x, y)
-                if wsim >= thaccept:
-                    row_bits[k] = 1
-                    col_bits[y - j0] = 1
-        return bytes(row_bits), bytes(col_bits)
-
-    def _scan_np(self, a0, a1, j0, j1, thaccept):
-        block = self.block
-        tiles_t = self.tiles_t
-        row_bits = _np.zeros(a1 - a0, dtype=bool)
-        col_bits = _np.zeros(j1 - j0, dtype=bool)
-        wl, om = self.wl, self.om
-        for trow in range(a0 // block, (a1 - 1) // block + 1):
-            ra0 = max(a0, trow * block)
-            ra1 = min(a1, trow * block + block)
-            for tcol in range(j0 // block, (j1 - 1) // block + 1):
-                ca0 = max(j0, tcol * block)
-                ca1 = min(j1, tcol * block + block)
-                tid = trow * tiles_t + tcol
-                tile = self.tiles.get(tid)
-                la = ra0 - trow * block
-                lb = ca0 - tcol * block
-                if tile is not None:
-                    tile_np = _np.frombuffer(
-                        tile, dtype=_np.float64
-                    ).reshape(block, block)
-                    s_rect = tile_np[
-                        la:la + (ra1 - ra0), lb:lb + (ca1 - ca0)
-                    ]
-                else:
-                    s_rect = self.base_np[
-                        self.row_class_np[ra0:ra1, None],
-                        self.col_class_np[None, ca0:ca1],
-                    ]
-                strong = (wl * s_rect + om * self._lsim_rect(
-                    ra0, ra1, ca0, ca1
-                )) >= thaccept
-                row_bits[ra0 - a0:ra1 - a0] |= strong.any(axis=1)
-                col_bits[ca0 - j0:ca1 - j0] |= strong.any(axis=0)
-        return row_bits.tobytes(), col_bits.tobytes()
-
-    def _lsim_rect(self, i0, i1, j0, j1):
-        if self.factored:
-            return self.padded_np[
-                self.row_prof_np[i0:i1, None],
-                self.col_prof_np[None, j0:j1],
-            ]
-        scratch = _np.zeros((i1 - i0, j1 - j0))
-        n_t = self.n_t
-        for i in range(i0, i1):
-            base = i * n_t
-            for j in range(j0, j1):
-                value = self.lsim_cells.get(base + j)
-                if value is not None:
-                    scratch[i - i0, j - j0] = value
-        return scratch
-
-    def scale(self, *_args, **_kwargs):
-        raise RuntimeError(
-            "blocked shards apply scales via the op log, not dispatch"
-        )
-
-    def close(self) -> None:
-        self.tiles.clear()
-
-
-def _worker_main(conn) -> None:
-    """Worker process loop: apply no-reply state messages, answer
-    scan/scale requests, exit on demand or when the pipe closes."""
-    shards: Dict[int, object] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):  # pragma: no cover - parent died
-            break
-        kind = msg[0]
-        if kind == "exit":
-            break
-        if kind == "die":  # crash-injection hook for the test suite
-            os._exit(17)
-        reply_bearing = kind in ("scan", "scale", "ping")
-        try:
-            if kind == "flat":
-                _, key, shm_name, n_s, n_t, wl, om, backend = msg
-                shards[key] = _FlatShard(shm_name, n_s, n_t, wl, om, backend)
-            elif kind == "blocked":
-                _, key, spec = msg
-                shards[key] = _StripeReplica(spec)
-            elif kind == "ops":
-                _, key, ops = msg
-                shards[key].apply_ops(ops)
-            elif kind == "detach":
-                shard = shards.pop(msg[1], None)
-                if shard is not None:
-                    shard.close()
-            elif kind == "scan":
-                _, key, a0, a1, j0, j1, thaccept, want_trace = msg
-                if want_trace:
-                    # Spans are built standalone (no arming needed) and
-                    # ride home inside the reply; the dispatching op
-                    # span adopts them at the barrier. The dispatcher
-                    # only sets want_trace when its own tracer is
-                    # armed, so disarmed runs keep today's reply shape.
-                    shard_span = trace.Span.begin(
-                        "parallel.worker.scan",
-                        rows=a1 - a0, cols=j1 - j0, row_lo=a0,
-                    )
-                    payload = shards[key].scan(a0, a1, j0, j1, thaccept)
-                    shard_span.finish()
-                    conn.send(("ok",) + payload + (shard_span.to_dict(),))
-                else:
-                    conn.send(
-                        ("ok",) + shards[key].scan(a0, a1, j0, j1, thaccept)
-                    )
-            elif kind == "scale":
-                _, key, a0, a1, j0, j1, factor, thaccept, want_trace = msg
-                if want_trace:
-                    shard_span = trace.Span.begin(
-                        "parallel.worker.scale",
-                        rows=a1 - a0, cols=j1 - j0, row_lo=a0,
-                    )
-                    payload = shards[key].scale(
-                        a0, a1, j0, j1, factor, thaccept
-                    )
-                    shard_span.finish()
-                    conn.send(("ok",) + payload + (shard_span.to_dict(),))
-                else:
-                    conn.send(
-                        ("ok",)
-                        + shards[key].scale(a0, a1, j0, j1, factor, thaccept)
-                    )
-            elif kind == "ping":
-                conn.send(("ok",))
-        except Exception:  # noqa: BLE001 - forwarded to the main process
-            import traceback
-
-            message = traceback.format_exc()
-            if reply_bearing:
-                try:
-                    conn.send(("err", message))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    break
-            else:
-                # Defer: poison the shard so the next reply-bearing
-                # request surfaces the original failure.
-                key = msg[1] if len(msg) > 1 else None
-                if key is not None:
-                    shards[key] = _PoisonedShard(message)
-    for shard in shards.values():
-        shard.close()
-    conn.close()
-
-
-# ----------------------------------------------------------------------
-# Main-process side: pools and per-store contexts
-# ----------------------------------------------------------------------
-
-class WorkerPool:
-    """A fixed set of worker processes with one duplex pipe each."""
-
-    def __init__(self, n_workers: int) -> None:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self.n_workers = n_workers
-        self.dead = False
-        # One transaction at a time: request() holds this across its
-        # whole send-all/recv-all cycle so replies (which carry no
-        # correlation ids) can never be claimed by the wrong thread.
-        # RLock because a gc-triggered shard finalizer may post a
-        # detach from inside the owning thread's transaction.
-        self._lock = threading.RLock()
-        self._conns = []
-        self._procs = []
-        for _ in range(n_workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-
-    def post(self, worker: int, msg) -> None:
-        """Send a no-reply message."""
-        with self._lock:
-            self._post_locked(worker, msg)
-
-    def _post_locked(self, worker: int, msg) -> None:
-        if self.dead:
-            raise ParallelError(
-                f"worker pool ({self.n_workers} workers) is dead after an "
-                f"earlier failure; cannot send {msg[0]!r}"
-            )
-        try:
-            self._conns[worker].send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            self._mark_dead()
-            raise ParallelError(
-                f"parallel worker {worker} is gone "
-                f"(send of {msg[0]!r} failed: {exc})"
-            ) from exc
-
-    def request(self, targets: List[Tuple[int, tuple]]) -> List[tuple]:
-        """Send one reply-bearing message per (worker, msg) target,
-        then collect replies in order. Raises ParallelError if any
-        worker dies or reports a shard failure. The whole transaction
-        runs under the pool lock — concurrent sessions queue here
-        rather than crossing replies on the shared pipes."""
-        injected = faults.action("parallel.request")
-        with self._lock:
-            if injected == "kill_worker" and targets:
-                # Deterministic worker death: the victim reads the die
-                # message before this transaction's requests, so the
-                # recv below finds a closed pipe — exactly the failure
-                # shape of a worker OOM-killed mid-request.
-                self._post_locked(targets[0][0], ("die",))
-            for worker, msg in targets:
-                self._post_locked(worker, msg)
-            replies = []
-            for worker, msg in targets:
-                try:
-                    reply = self._conns[worker].recv()
-                except (EOFError, OSError) as exc:
-                    self._mark_dead()
-                    raise ParallelError(
-                        f"parallel worker {worker} died during {msg[0]!r} "
-                        f"(exit code "
-                        f"{self._procs[worker].exitcode})"
-                    ) from exc
-                if reply[0] != "ok":
-                    self._mark_dead()
-                    raise ParallelError(
-                        f"parallel worker {worker} failed during "
-                        f"{msg[0]!r}:\n{reply[1]}"
-                    )
-                replies.append(reply)
-            return replies
-
-    def _mark_dead(self) -> None:
-        """A broken pool is never reused: pending stores error out and
-        the registry spawns a fresh pool for new stores."""
-        self.dead = True
-        _POOLS.pop(self.n_workers, None)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            if self.dead:
-                for proc in self._procs:
-                    if proc.is_alive():  # pragma: no cover - crash cleanup
-                        proc.terminate()
-                return
-            self.dead = True
-            _POOLS.pop(self.n_workers, None)
-            for conn in self._conns:
-                try:
-                    conn.send(("exit",))
-                except (BrokenPipeError, OSError):  # pragma: no cover
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover - hung worker
-                    proc.terminate()
-            for conn in self._conns:
-                conn.close()
-
-
-_POOLS: Dict[int, WorkerPool] = {}
-_POOLS_LOCK = threading.Lock()
-_STORE_KEYS = itertools.count(1)
-
-
-def get_pool(n_workers: int) -> WorkerPool:
-    """The shared pool for ``n_workers``, spawning it on first use.
-
-    Creation is locked: two racing sessions must get the same pool,
-    and only one thread may fork (forking concurrently with another
-    thread's fork would duplicate half-set-up pipe fds into both
-    children).
-    """
-    with _POOLS_LOCK:
-        pool = _POOLS.get(n_workers)
-        if pool is None or pool.dead:
-            pool = WorkerPool(n_workers)
-            _POOLS[n_workers] = pool
-        return pool
-
-
-@atexit.register
-def _shutdown_pools() -> None:  # pragma: no cover - interpreter exit
-    for pool in list(_POOLS.values()):
-        pool.shutdown()
-
-
-def _detach_shards(pool: WorkerPool, key: int, workers: List[int]) -> None:
-    """Finalizer half: tell the owning workers to drop their shards."""
-    if pool.dead:
-        return
-    for worker in workers:
-        try:
-            pool.post(worker, ("detach", key))
-        except ParallelError:  # pragma: no cover - pool died first
-            return
-
-
-class ShardContext:
-    """Main-process handle for one store's sharded execution.
-
-    Owns the stripe plan, the per-op dispatch/merge, the op log
-    (blocked stores), and the shard/merge counters surfaced through
-    ``describe()`` / ``--stats`` / ``MatchSession.cache_info()``.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        stripes: List[Tuple[int, int]],
-        min_cells: int,
-        use_numpy: bool,
-    ) -> None:
-        self.pool = get_pool(n_workers)
-        self.key = next(_STORE_KEYS)
-        self.stripes = stripes
-        self.min_cells = min_cells
-        self.use_numpy = use_numpy
-        self.counters = {
-            "parallel_workers": n_workers,
-            "parallel_scan_ops": 0,
-            "parallel_scale_ops": 0,
-            "parallel_shards_dispatched": 0,
-            "parallel_ops_forwarded": 0,
-            "parallel_stamp_merges": 0,
-        }
-        self._registered = False
-        self._attach_msg = None
-        self._blocked_specs = None
-        self.pending_ops: Optional[List[tuple]] = None
-        self._finalizer = None
-
-    # -- registration --------------------------------------------------
-
-    def attach_flat(self, shm_name, n_s, n_t, wl, om, backend) -> None:
-        self._attach_msg = ("flat", self.key, shm_name, n_s, n_t, wl, om,
-                            backend)
-
-    def attach_blocked(self, spec_base: Dict) -> None:
-        self._blocked_specs = spec_base
-        self.pending_ops = []
-
-    def _ensure_registered(self) -> None:
-        if self._registered:
-            return
-        live = [
-            w for w, (r0, r1) in enumerate(self.stripes) if r1 > r0
-        ]
-        if self._attach_msg is not None:
-            for worker in live:
-                self.pool.post(worker, self._attach_msg)
-        else:
-            for worker in live:
-                spec = dict(self._blocked_specs)
-                spec["stripe"] = self.stripes[worker]
-                self.pool.post(worker, ("blocked", self.key, spec))
-        self._registered = True
-        self._finalizer_workers = live
-
-    def register_finalizer(self, owner) -> None:
-        """Detach worker shards when the owning store is collected."""
-        pool, key = self.pool, self.key
-        stripes = self.stripes
-
-        def _cleanup():
-            live = [w for w, (r0, r1) in enumerate(stripes) if r1 > r0]
-            _detach_shards(pool, key, live)
-
-        self._finalizer = weakref.finalize(owner, _cleanup)
-
-    # -- op log (blocked stores) ---------------------------------------
-
-    def record_op(self, op: tuple) -> None:
-        self.pending_ops.append(op)
-
-    @staticmethod
-    def _op_rows(op) -> Tuple[int, int]:
-        if op[0] == "set":
-            return op[1], op[1] + 1
-        spec = op[1]
-        if isinstance(spec, tuple):
-            return spec
-        return spec[0], spec[-1] + 1
-
-    def _flush_ops(self) -> None:
-        ops = self.pending_ops
-        if not ops:
-            return
-        for worker, (r0, r1) in enumerate(self.stripes):
-            if r1 <= r0:
-                continue
-            mine = [
-                op for op in ops
-                if self._op_rows(op)[1] > r0 and self._op_rows(op)[0] < r1
-            ]
-            if mine:
-                self.pool.post(worker, ("ops", self.key, mine))
-                self.counters["parallel_ops_forwarded"] += len(mine)
-        self.pending_ops = []
-
-    # -- dispatch ------------------------------------------------------
-
-    def _targets(self, i0: int, i1: int) -> List[Tuple[int, int, int]]:
-        """(worker, a0, a1) stripe∩region row slices, ascending."""
-        out = []
-        for worker, (r0, r1) in enumerate(self.stripes):
-            a0 = max(i0, r0)
-            a1 = min(i1, r1)
-            if a1 > a0:
-                out.append((worker, a0, a1))
-        return out
-
-    def scan(self, i0, i1, j0, j1, thaccept):
-        """Sharded strong-link scan: merged (row bits, col bits) over
-        the region, ordered by ascending row / column."""
-        self._ensure_registered()
-        if self.pending_ops is not None:
-            self._flush_ops()
-        targets = self._targets(i0, i1)
-        self.counters["parallel_scan_ops"] += 1
-        self.counters["parallel_shards_dispatched"] += len(targets)
-        op_span = trace.start_span("parallel.scan", shards=len(targets))
-        want_trace = op_span is not None
-        try:
-            replies = self.pool.request(
-                [
-                    (w, ("scan", self.key, a0, a1, j0, j1, thaccept,
-                         want_trace))
-                    for w, a0, a1 in targets
-                ]
-            )
-            if want_trace:
-                # The op is the barrier: worker spans ride the replies
-                # and re-parent here, under the dispatching span.
-                trace.adopt(op_span, (reply[3] for reply in replies))
-            row_bits = bytearray()
-            col_bits = bytearray(j1 - j0)
-            for reply in replies:
-                rows, cols = reply[1], reply[2]
-                row_bits.extend(rows)
-                for k, bit in enumerate(cols):
-                    if bit:
-                        col_bits[k] = 1
-            return row_bits, col_bits
-        finally:
-            trace.end_span(op_span)
-
-    def scale(self, i0, i1, j0, j1, factor, thaccept):
-        """Sharded clamped block multiply (flat stores only — the
-        planes are shared, so workers write in place). Returns merged
-        (any_crossed, row bits, col bits) for the barrier stamp."""
-        self._ensure_registered()
-        targets = self._targets(i0, i1)
-        self.counters["parallel_scale_ops"] += 1
-        self.counters["parallel_shards_dispatched"] += len(targets)
-        op_span = trace.start_span("parallel.scale", shards=len(targets))
-        want_trace = op_span is not None
-        try:
-            replies = self.pool.request(
-                [
-                    (w, ("scale", self.key, a0, a1, j0, j1, factor,
-                         thaccept, want_trace))
-                    for w, a0, a1 in targets
-                ]
-            )
-            if want_trace:
-                trace.adopt(op_span, (reply[4] for reply in replies))
-            any_crossed = False
-            row_bits = bytearray()
-            col_bits = bytearray(j1 - j0)
-            for reply in replies:
-                crossed, rows, cols = reply[1], reply[2], reply[3]
-                any_crossed = any_crossed or crossed
-                row_bits.extend(rows)
-                for k, bit in enumerate(cols):
-                    if bit:
-                        col_bits[k] = 1
-            if any_crossed:
-                self.counters["parallel_stamp_merges"] += 1
-            return any_crossed, row_bits, col_bits
-        finally:
-            trace.end_span(op_span)

@@ -37,17 +37,14 @@ multiplies. Nothing here invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
 
-Parallel invariant: when the store shards a strong-link scan or a
-cinc/cdec block multiply across worker processes
-(:mod:`repro.structure.parallel`), every such operation is a
-**barrier** — the store blocks until all shards return and merges
-their threshold-crossing row/col bits into the dirty stamps *before*
-this loop observes any result. TreeMatch therefore never sees a
-partially applied operation, the visit-sequence numbers recorded per
-non-leaf pair keep their serial meaning, and the incremental
-:meth:`TreeMatch.recompute_wsim` skip logic stays exact under any
-worker count (the fuzz suite's ``workers=2`` variants hold this
-bit-identically).
+Serial order: TreeMatch is one bottom-up post-order pass in which each
+pair reads leaf cells that earlier pairs' cinc/cdec scaling already
+changed, so every strong-link scan and block multiply runs in-process,
+in visit order. A store operation completes — including stamping its
+threshold-crossing rows/columns into the dirty-set sequence — before
+this loop observes its result, so the visit-sequence numbers recorded
+per non-leaf pair and the incremental :meth:`TreeMatch.recompute_wsim`
+skip logic stay exact.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ bit-identical to a scratch repository holding exactly the visible
 schemas. The **degradation modes** in process: injected ENOSPC turns
 the repository read-only (ingest raises, search keeps answering),
 injected segment-read faults fall back to the artifact re-scan. The
-**serving self-healing** over a real socket: a killed worker pool
-heals behind a one-shot retry, a persistent one surfaces 503 with a
-jittered ``Retry-After`` while ``/health`` stays green, disk-full
-maps to 507 and clears with the fault, failed background compactions
-retry with backoff, and SIGTERM drains and flushes the daemon.
+**serving self-healing** over a real socket: a request failing
+part-way is a named 5xx, never a partial 200, disk-full maps to 507
+and clears with the fault, failed background compactions retry with
+backoff, and SIGTERM drains and flushes the daemon.
 
 The sweep seed is taken from an ambient ``REPRO_FAULTS=seed=N`` (a
 rule-less plan never fires in this parent process) so CI can run the
@@ -42,7 +41,7 @@ from repro import SchemaRepository, faults
 from repro.cli import main as cli_main
 from repro.config import CupidConfig
 from repro.datasets.generator import PerturbationConfig, SchemaGenerator
-from repro.exceptions import ParallelError, RepositoryReadOnlyError
+from repro.exceptions import RepositoryReadOnlyError
 from repro.io.json_io import schema_to_dict
 from repro.repository.durability import atomic_write_json
 from repro.repository.segments import SEGMENTS_DIR
@@ -426,48 +425,6 @@ class _Server:
 
 
 class TestSelfHealingHTTP:
-    def test_worker_pool_death_heals_then_surfaces_503(self, tmp_path):
-        """One pool death is invisible (the retry rebuilds it); a pool
-        dying on every request is a named 503 with Retry-After while
-        /health stays green; clearing the fault restores 200s."""
-        config = CupidConfig().replace(
-            store="flat", workers=2, parallel_leaf_threshold=1
-        )
-        repo = SchemaRepository(str(tmp_path / "repo"), config=config)
-        schemas = _corpus(3, size=16)
-        for schema in schemas:
-            repo.ingest(schema)
-        repo.save()
-        body = {
-            "schema": schema_to_dict(_query_for(schemas[0])),
-            "k": 2,
-        }
-        with _Server(repo, sessions=1, queue_depth=8) as server:
-            assert len(_http(server.port, "/search", body)["matches"]) == 2
-
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@1"))
-            healed = _http(server.port, "/search", body)
-            assert len(healed["matches"]) == 2
-            stats = _http(server.port, "/stats")
-            assert stats["recovery"]["worker_pool_retries"] == 1
-
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@*"))
-            status, payload, headers = _http_error(
-                server.port, "/search", body
-            )
-            assert status == 503
-            assert payload["error"] == "ParallelError"
-            retry_after = headers.get("Retry-After")
-            base = repo.config.serving_retry_after_s
-            assert retry_after is not None
-            assert base <= int(retry_after) <= 2 * base + 1
-            health = _http(server.port, "/health")
-            assert health["status"] == "ok"
-
-            faults.disarm()
-            recovered = _http(server.port, "/search", body)
-            assert len(recovered["matches"]) == 2
-
     def test_disk_full_degrades_ingest_keeps_search(self, tmp_path):
         repo = SchemaRepository(str(tmp_path / "repo"))
         schemas = _corpus(4)
@@ -504,26 +461,29 @@ class TestSelfHealingHTTP:
 
     def test_search_never_returns_partial_results(self, tmp_path):
         """A failing request is a named 5xx, not a 200 with fewer
-        matches — injected worker death on every request must never
-        leak a truncated result set."""
-        config = CupidConfig().replace(
-            store="flat", workers=2, parallel_leaf_threshold=1
-        )
-        repo = SchemaRepository(str(tmp_path / "repo"), config=config)
+        matches — a candidate whose artifact fails to restore after
+        another candidate already matched must never leak a truncated
+        result set."""
+        path = str(tmp_path / "repo")
+        repo = SchemaRepository(path)
         for schema in _corpus(3, size=16):
             repo.ingest(schema)
         repo.save()
+        # Reopen so every candidate artifact restores lazily mid-search.
+        repo = SchemaRepository(path)
         body = {
             "schema": schema_to_dict(_query_for(_corpus(3, size=16)[0])),
             "k": 3,
         }
         with _Server(repo, sessions=1, queue_depth=8) as server:
-            faults.arm(faults.parse_spec("parallel.request:kill_worker@*"))
+            # The first restore succeeds (and stays cached); every
+            # later one fails, so each request dies part-way through.
+            faults.arm(faults.parse_spec("artifact.restore:oserror@2,3,4"))
             for _ in range(3):
                 status, payload, _ = _http_error(
                     server.port, "/search", body
                 )
-                assert status == 503
+                assert status >= 500
                 assert "matches" not in payload
             faults.disarm()
             assert len(_http(server.port, "/search", body)["matches"]) == 3
@@ -546,9 +506,16 @@ class TestCompactionSupervision:
             # must keep rescheduling until the third succeeds.
             faults.arm(faults.parse_spec("segment.write:oserror@1,2"))
             service._maybe_compact()
+            # Healed = segments folded AND the supervisor has recorded
+            # the success; the compactor publishes the segments before
+            # it resets its failure count, so wait for both.
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if repo.segment_count() == 1:
+                if (
+                    repo.segment_count() == 1
+                    and service.stats()["recovery"]["compaction_failures"]
+                    == 0
+                ):
                     break
                 time.sleep(0.02)
             assert repo.segment_count() == 1, "compaction never healed"

@@ -1,5 +1,8 @@
 """Tests for categorization and the linguistic matcher (lsim)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.config import CupidConfig
@@ -283,6 +286,53 @@ class TestBatchedNs:
             fresh.element_name_similarity(n1, n2) for n1, n2 in pairs
         ]
         assert batched == scalar
+
+
+class TestMemoExportRace:
+    """``export_cache`` runs while serving threads keep inserting into
+    the lock-free memo (a concurrent ``/ingest`` saving the simcache
+    during a search). It must snapshot the live dicts instead of
+    iterating them, or the export dies with "dictionary changed size
+    during iteration"."""
+
+    def test_export_while_writer_inserts(self, thesaurus, config):
+        from repro.linguistic.name_similarity import NameSimilarityMemo
+
+        memo = NameSimilarityMemo(thesaurus, config)
+        memo.preload_cache(
+            {
+                "token": {"a": {"b": 0.5}},
+                "element": {"x": {"y": 0.25}},
+            }
+        )
+        stop = threading.Event()
+
+        def writer():
+            # The memo's miss path: new token rows, new cells in an
+            # existing row, and new element-name keys.
+            for i in range(20_000):
+                if stop.is_set():
+                    return
+                memo._token.setdefault(f"t{i}", {})["u"] = 0.1
+                memo._token["a"][f"c{i}"] = 0.2
+                memo._element[(f"n{i}", "m")] = 0.3
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        thread = threading.Thread(target=writer, daemon=True)
+        try:
+            thread.start()
+            for _ in range(200):
+                if not thread.is_alive():
+                    break
+                dump = memo.export_cache()
+                assert dump["token"]["a"]["b"] == 0.5
+                assert dump["element"]["x"]["y"] == 0.25
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not thread.is_alive()
 
 
 class TestLinguisticMatcher:

@@ -37,6 +37,8 @@ from repro.serving import (
     MatchHTTPServer,
     MatchService,
 )
+from repro.serving import service as service_module
+from repro.structure.parallel import available_cpu_count
 
 
 def _corpus(n=6, size=12, seed=5):
@@ -250,6 +252,30 @@ class TestMatchService:
         reopened = SchemaRepository.open(str(tmp_path / "repo"))
         assert reopened.segment_count() < len(schemas)
         assert len(reopened) == len(schemas)
+
+
+class TestPoolSizing:
+    """``sessions=0`` sizes the session pool from the CPUs this process
+    may actually run on, not the machine's core count."""
+
+    def test_available_cpu_count_is_positive_int(self):
+        count = available_cpu_count()
+        assert isinstance(count, int) and count >= 1
+
+    def test_zero_sessions_sizes_pool_to_available_cpus(
+        self, repo, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "available_cpu_count", lambda: 3)
+        with MatchService(repo, sessions=0) as service:
+            assert service.health()["sessions"] == 3
+            assert len(service._sessions) == 3
+
+    def test_affinity_mask_fallback(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        assert available_cpu_count() == 2
 
 
 class TestSegmentParity:
