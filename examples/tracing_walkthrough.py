@@ -9,8 +9,9 @@ stitches all of it into one span tree per request. This walkthrough:
    the same discipline as the fault-injection layer) and runs a
    match, printing the serial span tree: ``pipeline.run`` with one
    ``stage.*`` span per pipeline stage, the ``treematch.run`` pass
-   under the structural stage and the ``treematch.recompute`` pass
-   under the mapping stage, each with its pair counters;
+   (with its ``treematch.sweep`` leaf sweep) under the structural
+   stage and the ``treematch.recompute`` pass under the mapping
+   stage, each with its pair counters;
 2. exports the same tree as Chrome trace-event JSON — load it in
    chrome://tracing or https://ui.perfetto.dev to see the stages
    laid out on the matching thread's track;

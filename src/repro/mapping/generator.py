@@ -13,10 +13,11 @@ same best-candidate scheme over inner nodes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.mapping.mapping import Mapping, MappingElement
+from repro.structure.dense import DenseSimilarityStore
 from repro.structure.treematch import TreeMatch, TreeMatchResult
 from repro.tree.schema_tree import SchemaTreeNode
 
@@ -35,32 +36,98 @@ class MappingGenerator:
         being updated by later ancestor comparisons, and it is those
         final values that encode the context disambiguation (e.g.
         POBillTo's City binding to InvoiceTo's rather than DeliverTo's).
+
+        On a dense store each target leaf is a column of the wsim
+        plane: a column whose maximum stays below ``thaccept`` maps
+        nothing, and otherwise the sequential tie-break scan runs over
+        the column's top tie cluster only (:meth:`_top_cluster`).
         """
         mapping = Mapping(
             result.source_tree.schema.name, result.target_tree.schema.name
         )
         sims = result.sims
-        source_leaves = list(result.source_tree.root.leaves())
-        for t in result.target_tree.root.leaves():
-            best_node = None
-            best_score = -1.0
-            for s in source_leaves:
-                score = sims.wsim(s, t)
-                if score > best_score + self._TIE_EPSILON:
-                    best_node = s
-                    best_score = score
-                elif (
-                    best_node is not None
-                    and abs(score - best_score) <= self._TIE_EPSILON
-                    and self._ancestors_prefer(s, best_node, t, result)
-                ):
-                    best_node = s
-                    best_score = max(best_score, score)
-            if best_node is not None and best_score >= self.config.thaccept:
+        thaccept = self.config.thaccept
+        source_leaves = tuple(result.source_tree.root.leaves())
+        target_leaves = tuple(result.target_tree.root.leaves())
+        if isinstance(sims, DenseSimilarityStore) and sims.lays_out(
+            source_leaves, target_leaves
+        ):
+            for j, column in sims.leaf_wsim_columns(thaccept):
+                t = target_leaves[j]
+                best_node, best_score = self._best_leaf(
+                    (
+                        (source_leaves[i], column[i])
+                        for i in self._top_cluster(column)
+                    ),
+                    t,
+                    result,
+                )
+                if best_score >= thaccept:
+                    mapping.add(self._element(best_node, t, best_score))
+            return mapping
+        for t in target_leaves:
+            best_node, best_score = self._best_leaf(
+                ((s, sims.wsim(s, t)) for s in source_leaves), t, result
+            )
+            if best_node is not None and best_score >= thaccept:
                 mapping.add(self._element(best_node, t, best_score))
         return mapping
 
     _TIE_EPSILON = 1e-9
+
+    def _best_leaf(
+        self,
+        candidates: Iterable[Tuple[SchemaTreeNode, float]],
+        target: SchemaTreeNode,
+        result: TreeMatchResult,
+    ) -> Tuple[Optional[SchemaTreeNode], float]:
+        """Scan ``(source leaf, score)`` candidates in order: a score
+        more than ε above the best so far wins outright, one within ε
+        ties and falls to :meth:`_ancestors_prefer`."""
+        best_node = None
+        best_score = -1.0
+        for s, score in candidates:
+            if score > best_score + self._TIE_EPSILON:
+                best_node = s
+                best_score = score
+            elif (
+                best_node is not None
+                and abs(score - best_score) <= self._TIE_EPSILON
+                and self._ancestors_prefer(s, best_node, target, result)
+            ):
+                best_node = s
+                best_score = max(best_score, score)
+        return best_node, best_score
+
+    def _top_cluster(self, column: List[float]) -> Sequence[int]:
+        """The rows of one wsim column that can decide its scan.
+
+        That is the top tie cluster: the rows linked to the column
+        maximum by a chain of gaps of at most ε, in row order. Every
+        other row lies more than ε below the whole cluster. Before the
+        first cluster row it is replaced outright by that row; after
+        it, it is out of tie range of the best score, which never
+        falls. So scanning the cluster gives the whole column's result.
+        Rounding in ``best + ε`` can blur a gap within a few ulps of ε,
+        so when the next row lies within 2ε of the cluster the whole
+        column is scanned instead.
+        """
+        eps = self._TIE_EPSILON
+        top = max(column)
+        near = [i for i, value in enumerate(column) if value >= top - 3 * eps]
+        if len(near) == 1:
+            return near
+        ranked = sorted(
+            range(len(column)), key=column.__getitem__, reverse=True
+        )
+        floor = column[ranked[0]]
+        size = 1
+        while size < len(ranked) and floor - column[ranked[size]] <= eps:
+            floor = column[ranked[size]]
+            size += 1
+        if size < len(ranked) and floor - column[ranked[size]] <= 2 * eps:
+            return range(len(column))
+        return sorted(ranked[:size])
 
     def _ancestors_prefer(
         self,

@@ -315,6 +315,9 @@ class MatchPipeline:
                 compared_pairs=tm.compared_pairs,
                 pruned_pairs=tm.pruned_pairs,
                 scaled_pairs=tm.scaled_pairs,
+                # Leaf pairs decided by the dense engine's whole-plane
+                # sweep; n_s·n_t on every dense match, 0 on reference.
+                leaf_sweep_cells=tm.leaf_sweep_cells,
             )
             if tm.recompute_pairs:
                 # Dirty-set effectiveness of the incremental second

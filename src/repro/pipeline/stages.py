@@ -170,10 +170,10 @@ class _NoContextTreeMatch(TreeMatch):
 
     Leaf similarities keep their initial type-compatibility + lsim
     blend; ancestors still aggregate strong links. Quantifies how much
-    of Cupid's quality comes from context propagation."""
+    of Cupid's quality comes from context propagation. The one switch
+    covers the dense engine's leaf sweep and every per-pair visit."""
 
-    def _scale_leaf_pairs(self, s, t, sims, factor):
-        return 0
+    context_adjustment = False
 
 
 class MappingStage:

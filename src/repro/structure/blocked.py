@@ -51,7 +51,7 @@ from repro.structure.dense import (
     DenseSimilarityStore,
     _np,
     iter_lsim_cells,
-    leaf_base_ssim,
+    leaf_base_classes,
 )
 from repro.tree.schema_tree import SchemaTreeNode
 
@@ -120,10 +120,10 @@ class BlockedSimilarityStore(DenseSimilarityStore):
         self._build_base_classes()
         self._build_lsim_plan(lsim_table)
         self._np_ready = False
-        #: Bound-locals fast path for single-cell wsim (the main
-        #: TreeMatch loop reads every leaf pair through it; closing
-        #: over the stable containers skips ~a dozen attribute loads
-        #: per call).
+        #: Bound-locals fast path for single-cell wsim (scalar
+        #: strong-link scans read every cell through it; closing over
+        #: the stable containers skips ~a dozen attribute loads per
+        #: call).
         self._cell_wsim = self._make_cell_wsim()
 
     # ------------------------------------------------------------------
@@ -134,41 +134,13 @@ class BlockedSimilarityStore(DenseSimilarityStore):
         """Per-leaf (data type, key-ness) classes + their base ssim.
 
         The base table holds exactly the value the flat store writes
-        into every never-updated ssim cell — both layouts call the
-        shared :func:`repro.structure.dense.leaf_base_ssim`, so the
-        expression cannot drift.
+        into every never-updated ssim cell — both layouts build it with
+        the shared :func:`repro.structure.dense.leaf_base_classes`, so
+        the expression cannot drift.
         """
-        config = self._config
-        compat = self._compat
-
-        s_class_index: Dict[Tuple, int] = {}
-        s_props: List[Tuple] = []
-        row_class: List[int] = []
-        for leaf in self._s_leaves:
-            key = (leaf.data_type, leaf.element.is_key)
-            class_id = s_class_index.get(key)
-            if class_id is None:
-                class_id = s_class_index[key] = len(s_props)
-                s_props.append(key)
-            row_class.append(class_id)
-        t_class_index: Dict[Tuple, int] = {}
-        t_props: List[Tuple] = []
-        col_class: List[int] = []
-        for leaf in self._t_leaves:
-            key = (leaf.data_type, leaf.element.is_key)
-            class_id = t_class_index.get(key)
-            if class_id is None:
-                class_id = t_class_index[key] = len(t_props)
-                t_props.append(key)
-            col_class.append(class_id)
-
-        n_cc = len(t_props)
-        base = array("d", bytes(8 * max(1, len(s_props) * n_cc)))
-        pos = 0
-        for dt1, k1 in s_props:
-            for dt2, k2 in t_props:
-                base[pos] = leaf_base_ssim(config, compat, dt1, k1, dt2, k2)
-                pos += 1
+        row_class, col_class, base, n_cc = leaf_base_classes(
+            self._config, self._compat, self._s_leaves, self._t_leaves
+        )
         self._base = base
         self._n_col_classes = n_cc
         self._col_class = col_class
@@ -537,20 +509,6 @@ class BlockedSimilarityStore(DenseSimilarityStore):
             # clamp(v·1.0) == v for every in-range double: the flat
             # store rewrites identical bytes and never stamps.
             return cells
-        if cells == 1:
-            # Leaf-pair context adjustments dominate the op count on
-            # large schemas; skip the block scaffolding for them.
-            i, j = s_entry.ids[0], t_entry.ids[0]
-            old = self._cell_ssim(i, j)
-            value = old * factor
-            if value > 1.0:
-                value = 1.0
-            elif value < 0.0:
-                value = 0.0
-            if value != old:
-                self._write_cell(i, j, value)
-            return 1
-
         if (
             self._use_numpy
             and cells >= self._VECTOR_MIN_CELLS
@@ -785,6 +743,183 @@ class BlockedSimilarityStore(DenseSimilarityStore):
             local_cols = slice(lb, lb + (b1 - b0))
             self._tile_np(tid)[local_rows, local_cols] = values[rows, cols]
             self._wtile_np(tid)[local_rows, local_cols] = wsims[rows, cols]
+
+    # ------------------------------------------------------------------
+    # Whole-plane leaf operations (per tile)
+    # ------------------------------------------------------------------
+
+    def leaf_wsim_values(self) -> List[float]:
+        n_s, n_t = self._n_s, self._n_t
+        if not n_s or not n_t:
+            return []
+        if self._use_numpy:
+            # One tile-row band at a time keeps the scratch O(B·n_t).
+            self._ensure_np()
+            values: List[float] = []
+            for i0 in range(0, n_s, self._B):
+                band = self._region_wsim_np(i0, min(i0 + self._B, n_s), 0, n_t)
+                values.extend(band.ravel().tolist())
+            return values
+        cell_wsim = self._cell_wsim
+        return [cell_wsim(i, j) for i in range(n_s) for j in range(n_t)]
+
+    def leaf_wsim_columns(self, floor: float):
+        n_s, n_t = self._n_s, self._n_t
+        if not n_s:
+            return
+        if self._use_numpy:
+            self._ensure_np()
+            for j0 in range(0, n_t, self._B):
+                slab = self._region_wsim_np(0, n_s, j0, min(j0 + self._B, n_t))
+                picked = _np.flatnonzero(slab.max(axis=0) >= floor)
+                for k, column in zip(
+                    picked.tolist(), slab[:, picked].T.tolist()
+                ):
+                    yield j0 + k, column
+            return
+        cell_wsim = self._cell_wsim
+        for j in range(n_t):
+            column = [cell_wsim(i, j) for i in range(n_s)]
+            if max(column) >= floor:
+                yield j, column
+
+    def sweep_leaf_pairs(
+        self, thhigh: float, thlow: float, cinc: float, cdec: float
+    ) -> Tuple[int, int, int]:
+        """Tile-by-tile leaf sweep (see the flat store's docstring).
+
+        A tile none of whose cells changes value stays virtual; a tile
+        with few changed cells gets an overlay, exactly as the same
+        one-cell writes would have left it."""
+        n_s, n_t = self._n_s, self._n_t
+        if not n_s or not n_t:
+            return 0, 0, 0
+        rows_hit = bytearray(n_s)
+        cols_hit = bytearray(n_t)
+        scaled = 0
+        for tid, i0, i1, j0, j1, la, lb in self._region_tiles(0, n_s, 0, n_t):
+            self._touched[tid] = 1
+            if (
+                self._use_numpy
+                and (i1 - i0) * (j1 - j0) >= self._VECTOR_MIN_CELLS
+            ):
+                sweep_tile = self._sweep_tile_np
+            else:
+                sweep_tile = self._sweep_tile
+            scaled += sweep_tile(
+                tid, i0, i1, j0, j1, la, lb,
+                (thhigh, thlow, cinc, cdec), rows_hit, cols_hit,
+            )
+        rows = [i for i in range(n_s) if rows_hit[i]]
+        cols = [j for j in range(n_t) if cols_hit[j]]
+        self._stamp_crossed(rows, cols)
+        return scaled, len(rows), len(cols)
+
+    def _sweep_tile_np(
+        self, tid, i0, i1, j0, j1, la, lb, thresholds, rows_hit, cols_hit
+    ) -> int:
+        thhigh, thlow, cinc, cdec = thresholds
+        self._ensure_np()
+        s_old = self._region_ssim_np(i0, i1, j0, j1)
+        lsim = self._region_lsim_np(i0, i1, j0, j1)
+        w_old = self._wl * s_old + self._om * lsim
+        high = w_old > thhigh
+        low = w_old < thlow
+        low &= ~high
+        scaled = int(_np.count_nonzero(high)) + int(_np.count_nonzero(low))
+        if not scaled:
+            return 0
+        s_new = s_old.copy()
+        s_new[high] *= cinc
+        s_new[low] *= cdec
+        _np.clip(s_new, 0.0, 1.0, out=s_new)
+        w_new = self._wl * s_new + self._om * lsim
+        threshold = self._thaccept
+        crossed = (w_old >= threshold) != (w_new >= threshold)
+        if crossed.any():
+            for k in _np.flatnonzero(crossed.any(axis=1)).tolist():
+                rows_hit[i0 + k] = 1
+            for k in _np.flatnonzero(crossed.any(axis=0)).tolist():
+                cols_hit[j0 + k] = 1
+        changed = s_new != s_old
+        n_changed = int(_np.count_nonzero(changed))
+        if not n_changed:
+            return scaled
+        if self._tiles[tid] is None:
+            overlay = self._overlays[tid]
+            if len(overlay or ()) + n_changed <= self._overlay_limit:
+                if overlay is None:
+                    overlay = self._overlays[tid] = {}
+                block = self._B
+                local_i, local_j = _np.nonzero(changed)
+                for a, b, value in zip(
+                    local_i.tolist(), local_j.tolist(),
+                    s_new[changed].tolist(),
+                ):
+                    overlay[(la + a) * block + lb + b] = value
+                return scaled
+            self._solidify(tid)
+        rows = slice(la, la + (i1 - i0))
+        cols = slice(lb, lb + (j1 - j0))
+        self._tile_np(tid)[rows, cols] = s_new
+        self._wtile_np(tid)[rows, cols] = w_new
+        return scaled
+
+    def _sweep_tile(
+        self, tid, i0, i1, j0, j1, la, lb, thresholds, rows_hit, cols_hit
+    ) -> int:
+        thhigh, thlow, cinc, cdec = thresholds
+        offr, offc = self._offr, self._offc
+        tiles, wtiles, overlays = self._tiles, self._wtiles, self._overlays
+        base, row_base, col_class = self._base, self._row_base, self._col_class
+        cell_lsim = self._cell_lsim
+        wl, om = self._wl, self._om
+        threshold = self._thaccept
+        overlay_limit = self._overlay_limit
+        scaled = 0
+        for i in range(i0, i1):
+            off_row = offr[i]
+            rb = row_base[i]
+            for j in range(j0, j1):
+                off = off_row + offc[j]
+                tile = tiles[tid]
+                if tile is not None:
+                    old = tile[off]
+                else:
+                    overlay = overlays[tid]
+                    old = overlay.get(off) if overlay is not None else None
+                    if old is None:
+                        old = base[rb + col_class[j]]
+                lsim = cell_lsim(i, j)
+                old_wsim = wl * old + om * lsim
+                if old_wsim > thhigh:
+                    value = old * cinc
+                elif old_wsim < thlow:
+                    value = old * cdec
+                else:
+                    continue
+                scaled += 1
+                if value > 1.0:
+                    value = 1.0
+                elif value < 0.0:
+                    value = 0.0
+                if value == old:
+                    continue
+                new_wsim = wl * value + om * lsim
+                if tile is not None:
+                    tile[off] = value
+                    wtiles[tid][off] = new_wsim
+                else:
+                    overlay = overlays[tid]
+                    if overlay is None:
+                        overlay = overlays[tid] = {}
+                    overlay[off] = value
+                    if len(overlay) > overlay_limit:
+                        self._solidify(tid)
+                if (old_wsim >= threshold) != (new_wsim >= threshold):
+                    rows_hit[i] = 1
+                    cols_hit[j] = 1
+        return scaled
 
     # ------------------------------------------------------------------
     # Structural fraction (Section 6 strong-link scans)

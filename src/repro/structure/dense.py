@@ -25,7 +25,14 @@ This module replaces the hot path with contiguous-array arithmetic:
   context adjustment becomes a clamped block multiply over that
   window (impure DAG nodes gather through their ascending id tuples);
 * ``wsim`` cells are refreshed only for the block whose ``ssim`` was
-  scaled, never matrix-wide.
+  scaled, never matrix-wide;
+* the leaf×leaf pairs — ~97% of TreeMatch's pair visits — never reach
+  the per-pair accessors: :meth:`DenseSimilarityStore.sweep_leaf_pairs`
+  applies all of their own cinc/cdec decisions in one elementwise pass
+  over the plane (per tile on the blocked store), and the bulk reads
+  :meth:`~DenseSimilarityStore.leaf_wsim_values` and
+  :meth:`~DenseSimilarityStore.leaf_wsim_columns` feed TreeMatch's
+  wsim map and the leaf mapping's column scans.
 
 Every matrix cell is computed with exactly the scalar expressions the
 reference store uses (same operand order, same clamping), and the
@@ -83,8 +90,8 @@ def leaf_base_ssim(
     plus the key-affinity adjustment.
 
     The single source of the expression ``SimilarityStore.ssim`` uses
-    for never-updated pairs — the flat store's matrix fill and the
-    blocked store's base-class table both call it, so the two layouts
+    for never-updated pairs — both store layouts take their initial
+    ssim from :func:`leaf_base_classes`, which calls it, so the two
     cannot drift apart bit-wise.
     """
     base = compat.compatibility(dt1, dt2)
@@ -94,6 +101,38 @@ def leaf_base_ssim(
         elif key1 != key2:
             base -= config.key_affinity_bonus
     return min(0.5, max(0.0, base))
+
+
+def leaf_base_classes(
+    config: CupidConfig, compat: TypeCompatibilityTable, s_leaves, t_leaves
+) -> Tuple[List[int], List[int], array, int]:
+    """Factor both leaf sides into (data type, key-ness) classes.
+
+    Returns ``(row_class, col_class, base, n_col_classes)``: each
+    leaf's class id and the row-major class-pair table of
+    :func:`leaf_base_ssim` values, so leaf ``(i, j)`` starts at
+    ``base[row_class[i] * n_col_classes + col_class[j]]``. Both store
+    layouts build their initial ssim from this one table.
+    """
+    sides = []
+    for leaves in (s_leaves, t_leaves):
+        class_index: Dict[Tuple, int] = {}
+        classes: List[int] = []
+        for leaf in leaves:
+            key = (leaf.data_type, leaf.element.is_key)
+            class_id = class_index.get(key)
+            if class_id is None:
+                class_id = class_index[key] = len(class_index)
+            classes.append(class_id)
+        sides.append((classes, list(class_index)))
+    (row_class, s_props), (col_class, t_props) = sides
+    base = array("d", bytes(8 * max(1, len(s_props) * len(t_props))))
+    pos = 0
+    for dt1, k1 in s_props:
+        for dt2, k2 in t_props:
+            base[pos] = leaf_base_ssim(config, compat, dt1, k1, dt2, k2)
+            pos += 1
+    return row_class, col_class, base, len(t_props)
 
 
 def iter_lsim_cells(lsim_table: LsimTable, s_leaves, t_leaves):
@@ -193,7 +232,8 @@ class DenseSimilarityStore(SimilarityStore):
     Drop-in replacement for :class:`SimilarityStore`: all scalar
     accessors keep working for arbitrary node pairs; leaf-pair accesses
     are redirected to the matrices. TreeMatch additionally uses the
-    bulk operations :meth:`scale_block` and :meth:`structural_fraction`.
+    bulk operations :meth:`sweep_leaf_pairs`, :meth:`scale_block` and
+    :meth:`structural_fraction`.
     """
 
     #: Blocks with at least this many cells use the numpy views; below
@@ -249,6 +289,7 @@ class DenseSimilarityStore(SimilarityStore):
         self._thaccept = config.thaccept
         self._row_seq: List[int] = [0] * self._n_s
         self._col_seq: List[int] = [0] * self._n_t
+        self._leaf_keys: Optional[List[Tuple[int, int]]] = None
 
         self._build_matrices(lsim_table)
 
@@ -263,27 +304,23 @@ class DenseSimilarityStore(SimilarityStore):
         lsim_flat = array("d", bytes(8 * size))
 
         # Initial leaf ssim = the shared leaf_base_ssim expression,
-        # computed once per distinct (type, key-ness) combination
-        # instead of once per probe.
-        config = self._config
-        compat = self._compat
-        t_props = [
-            (leaf.data_type, leaf.element.is_key) for leaf in self._t_leaves
-        ]
-        base_cache: Dict[Tuple, float] = {}
-        pos = 0
-        for s_leaf in self._s_leaves:
-            dt1 = s_leaf.data_type
-            k1 = s_leaf.element.is_key
-            for dt2, k2 in t_props:
-                key = (dt1, k1, dt2, k2)
-                value = base_cache.get(key)
-                if value is None:
-                    value = base_cache[key] = leaf_base_ssim(
-                        config, compat, dt1, k1, dt2, k2
-                    )
-                ssim_flat[pos] = value
-                pos += 1
+        # computed once per distinct (type, key-ness) class pair and
+        # gathered into the plane.
+        row_class, col_class, base, n_cc = leaf_base_classes(
+            self._config, self._compat, self._s_leaves, self._t_leaves
+        )
+        if self._use_numpy and size >= self._VECTOR_MIN_CELLS:
+            base_np = _np.frombuffer(base, dtype=_np.float64).reshape(-1, n_cc)
+            _np.frombuffer(ssim_flat, dtype=_np.float64)[:] = base_np[
+                _np.asarray(row_class, dtype=_np.intp)[:, None],
+                _np.asarray(col_class, dtype=_np.intp)[None, :],
+            ].reshape(-1)
+        else:
+            for i, c in enumerate(row_class):
+                row_base = c * n_cc
+                ssim_flat[i * n_t:(i + 1) * n_t] = array(
+                    "d", [base[row_base + cc] for cc in col_class]
+                )
 
         if isinstance(lsim_table, FactoredLsimTable) and lsim_table.factored_live:
             # Kernel-factored table: gather each leaf's profile row
@@ -587,8 +624,160 @@ class DenseSimilarityStore(SimilarityStore):
         return cells
 
     # ------------------------------------------------------------------
+    # Whole-plane leaf operations (TreeMatch's leaf sweep, bulk reads)
+    # ------------------------------------------------------------------
+
+    def indexes_leaves_of(
+        self, order: List[SchemaTreeNode], source_side: bool
+    ) -> bool:
+        """Are the leaves among ``order``'s nodes exactly this store's
+        layout leaves? True on every tree the layout was built from;
+        False once a structural mutation made the layout stale, and
+        TreeMatch then runs the per-pair loop instead of the sweep."""
+        index = self._s_index if source_side else self._t_index
+        count = 0
+        for node in order:
+            if not node.children:
+                if node.node_id not in index:
+                    return False
+                count += 1
+        return count == len(index)
+
+    def lays_out(self, source_leaves, target_leaves) -> bool:
+        """Are these exactly the layout's row and column leaves, in
+        order?"""
+        return (
+            tuple(source_leaves) == self._s_leaves
+            and tuple(target_leaves) == self._t_leaves
+        )
+
+    def leaf_cells(self) -> int:
+        return self._n_s * self._n_t
+
+    def leaf_pair_keys(self) -> List[Tuple[int, int]]:
+        """``(source node id, target node id)`` of every leaf cell,
+        row-major — the order :meth:`leaf_wsim_values` returns. Built
+        once per store; both TreeMatch passes zip their bulk wsim fill
+        against it."""
+        keys = self._leaf_keys
+        if keys is None:
+            t_ids = [leaf.node_id for leaf in self._t_leaves]
+            keys = self._leaf_keys = [
+                (leaf.node_id, t_id) for leaf in self._s_leaves for t_id in t_ids
+            ]
+        return keys
+
+    def leaf_wsim_values(self) -> List[float]:
+        """Current wsim of every leaf cell, row-major."""
+        return self._W.tolist()
+
+    def leaf_wsim_columns(self, floor: float):
+        """Yield ``(j, column)`` for each target leaf ``j`` whose best
+        source leaf reaches ``floor``: ``column`` lists the wsim of
+        every source leaf against it, in layout order. Columns whose
+        maximum stays below ``floor`` cannot produce a mapping element
+        and are skipped without leaving C."""
+        n_s, n_t = self._n_s, self._n_t
+        if not n_s:
+            return
+        if self._use_numpy:
+            plane = self._Wnp
+            picked = _np.flatnonzero(plane.max(axis=0) >= floor)
+            yield from zip(picked.tolist(), plane[:, picked].T.tolist())
+            return
+        wsim_flat = self._W
+        for j in range(n_t):
+            column = wsim_flat[j::n_t]
+            if max(column) >= floor:
+                yield j, column.tolist()
+
+    def sweep_leaf_pairs(
+        self, thhigh: float, thlow: float, cinc: float, cdec: float
+    ) -> Tuple[int, int, int]:
+        """Apply every leaf pair's own Figure 3 context decision at once.
+
+        A cell whose wsim exceeds ``thhigh`` has its ssim multiplied by
+        ``cinc``, one below ``thlow`` by ``cdec`` (clamped to [0, 1],
+        wsim refreshed) — per cell the same IEEE operations the
+        one-cell :meth:`scale_block` applies, over the whole plane in
+        one pass. Rows and columns whose cells crossed ``thaccept``
+        share one fresh crossing stamp. Returns ``(scaled cells,
+        crossed rows, crossed columns)``.
+        """
+        n_s, n_t = self._n_s, self._n_t
+        threshold = self._thaccept
+        if self._use_numpy and n_s * n_t >= self._VECTOR_MIN_CELLS:
+            wsim_plane, ssim_plane = self._Wnp, self._Snp
+            high = wsim_plane > thhigh
+            low = wsim_plane < thlow
+            low &= ~high
+            scaled = int(_np.count_nonzero(high)) + int(_np.count_nonzero(low))
+            if not scaled:
+                return 0, 0, 0
+            old_strong = wsim_plane >= threshold
+            ssim_plane[high] *= cinc
+            ssim_plane[low] *= cdec
+            _np.clip(ssim_plane, 0.0, 1.0, out=ssim_plane)
+            # Untouched cells recompute to their stored bits: every
+            # write keeps wsim == wl·ssim + (1−wl)·lsim exactly.
+            _np.multiply(ssim_plane, self._wl, out=wsim_plane)
+            wsim_plane += self._om * self._Lnp
+            crossed = old_strong != (wsim_plane >= threshold)
+            rows = _np.flatnonzero(crossed.any(axis=1)).tolist()
+            cols = _np.flatnonzero(crossed.any(axis=0)).tolist()
+            self._stamp_crossed(rows, cols)
+            return scaled, len(rows), len(cols)
+
+        ssim_flat, lsim_flat, wsim_flat = self._S, self._L, self._W
+        wl, om = self._wl, self._om
+        scaled = 0
+        rows: List[int] = []
+        cols = set()
+        for i in range(n_s):
+            base = i * n_t
+            row_crossed = False
+            for j in range(n_t):
+                flat = base + j
+                old_wsim = wsim_flat[flat]
+                if old_wsim > thhigh:
+                    value = ssim_flat[flat] * cinc
+                elif old_wsim < thlow:
+                    value = ssim_flat[flat] * cdec
+                else:
+                    continue
+                scaled += 1
+                if value > 1.0:
+                    value = 1.0
+                elif value < 0.0:
+                    value = 0.0
+                ssim_flat[flat] = value
+                new_wsim = wl * value + om * lsim_flat[flat]
+                wsim_flat[flat] = new_wsim
+                if (old_wsim >= threshold) != (new_wsim >= threshold):
+                    row_crossed = True
+                    cols.add(j)
+            if row_crossed:
+                rows.append(i)
+        self._stamp_crossed(rows, sorted(cols))
+        return scaled, len(rows), len(cols)
+
+    # ------------------------------------------------------------------
     # Dirty-set queries (incremental recompute_wsim)
     # ------------------------------------------------------------------
+
+    def _stamp_crossed(self, rows: List[int], cols: List[int]) -> None:
+        """Stamp one fresh sequence on the given global rows/columns
+        (no-op when both are empty)."""
+        if not rows and not cols:
+            return
+        self.mutation_seq += 1
+        seq = self.mutation_seq
+        row_seq = self._row_seq
+        for i in rows:
+            row_seq[i] = seq
+        col_seq = self._col_seq
+        for j in cols:
+            col_seq[j] = seq
 
     def _mark_crossed(
         self,

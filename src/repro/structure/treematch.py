@@ -37,20 +37,44 @@ multiplies. Nothing here invalidates anything: a structural mutation
 unindexes the touched ancestry at mutation time and the accessors fall
 back to DFS until the next reindex.
 
-Serial order: TreeMatch is one bottom-up post-order pass in which each
+Order and the leaf sweep: TreeMatch is one bottom-up pass in which a
 pair reads leaf cells that earlier pairs' cinc/cdec scaling already
-changed, so every strong-link scan and block multiply runs in-process,
-in visit order. A store operation completes — including stamping its
+changed, so it runs in-process, in visit order. The dense engine still
+takes every leaf×leaf pair out of the double loop: one whole-plane
+sweep (:meth:`~repro.structure.dense.DenseSimilarityStore.sweep_leaf_pairs`)
+applies all of their own threshold decisions before the first non-leaf
+pair, and the non-leaf walk that follows visits, per source node, only
+the target nodes inside its leaf-count band (precomputed from
+leaf-count buckets, kept in post-order; leaf pairs are never pruned
+because ``leaf_count_ratio >= 1``). The reorder changes no value:
+
+* a leaf pair ``(x, y)`` reads and scales only its own cell;
+* every other pair that scales that cell is an ``(s, t)`` with ``x``
+  under ``s`` and ``y`` under ``t``. :meth:`SchemaTree.postorder` is a
+  DFS that emits every node after all of its proper descendants,
+  join-view DAGs included (property-tested on the fuzz suite's tree and
+  DAG shapes), so either ``s`` follows ``x`` in the source order —
+  its whole row comes later — or ``s is x`` and ``t`` follows ``y``.
+  Each cell's own decision therefore precedes every other event on the
+  cell and reads the cell's initial value in both orders;
+* a non-leaf pair reads only cells of its own block (plus the dict
+  values of depth-pruned stand-ins below it), and every leaf decision
+  on that block preceded it in the pairwise order as well.
+
+Every store operation completes — including stamping its
 threshold-crossing rows/columns into the dirty-set sequence — before
-this loop observes its result, so the visit-sequence numbers recorded
-per non-leaf pair and the incremental :meth:`TreeMatch.recompute_wsim`
-skip logic stay exact.
+this loop observes its result. The sweep stamps its crossings once,
+before any non-leaf pair records its visit sequence, so the incremental
+:meth:`TreeMatch.recompute_wsim` skip stays exact; stamping leaf
+crossings early can only clear pairs that a later leaf stamp used to
+flag conservatively. The ``reference`` engine keeps the literal Figure 3
+double loop, so the fuzz suite checks the reorder bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_CONFIG, CupidConfig
 from repro.linguistic.matcher import LsimTable
@@ -96,6 +120,9 @@ class TreeMatchResult:
     #: dirty stamps cannot vouch for (always recomputed). Explains a
     #: low skip rate under ``leaf_prune_depth > 0`` in ``--stats``.
     recompute_standdown: int = 0
+    #: Leaf×leaf pairs decided by the dense engine's whole-plane leaf
+    #: sweep instead of the per-pair loop (0 on the reference engine).
+    leaf_sweep_cells: int = 0
 
     def wsim_of(self, s: SchemaTreeNode, t: SchemaTreeNode) -> float:
         return self.wsim.get((s.node_id, t.node_id), 0.0)
@@ -103,6 +130,12 @@ class TreeMatchResult:
 
 class TreeMatch:
     """Runs the Figure 3 algorithm over two schema trees."""
+
+    #: Whether a pair above ``thhigh`` / below ``thlow`` rescales the
+    #: ssim of its leaf block by ``cinc`` / ``cdec`` (Figure 3 step 3).
+    #: The leaf sweep and the per-pair visits both read this one
+    #: switch; the ``structural=no-context`` variant turns it off.
+    context_adjustment = True
 
     def __init__(
         self,
@@ -165,7 +198,6 @@ class TreeMatch:
         source_layout=None,
         target_layout=None,
     ) -> TreeMatchResult:
-        config = self.config
         self._frontier_memo = {}
         sims = self._make_store(
             source_tree, target_tree, lsim_table, source_layout, target_layout
@@ -175,7 +207,7 @@ class TreeMatch:
             target_tree=target_tree,
             sims=sims,
             wsim={},
-            engine=config.engine,
+            engine=self.config.engine,
         )
 
         # Leaf ssim initialization is implicit: both stores default to
@@ -183,56 +215,175 @@ class TreeMatch:
         # (the dense store materializes those defaults up front).
 
         source_order = source_tree.postorder()
+        target_order = target_tree.postorder()
+        if self._sweepable(sims, source_order, target_order):
+            self._run_swept(result, source_order, target_order)
+        else:
+            self._run_pairwise(result, source_order, target_order)
+        return result
+
+    def _run_pairwise(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[SchemaTreeNode],
+    ) -> None:
+        """The literal Figure 3 double loop (the reference engine, and
+        the dense engine on a tree mutated after its layout was built).
+        """
+        sims = result.sims
         # Subtree leaf counts are consulted once per node pair; hoist
         # them out of the double loop (they are stable during a run).
-        target_order = [(t, t.leaf_count()) for t in target_tree.postorder()]
-        source_root = source_tree.root
-        target_root = target_tree.root
-        thhigh, thlow = config.thhigh, config.thlow
-        cinc, cdec = config.cinc, config.cdec
-        # Dense engine: remember the store state each non-leaf pair saw
-        # so the second pass can prove most of them clean and skip the
-        # strong-link rescan.
+        targets = [(t, t.leaf_count()) for t in target_order]
+        source_root = result.source_tree.root
+        target_root = result.target_tree.root
         track_seq = isinstance(sims, DenseSimilarityStore)
-        visit_seq = result.visit_seq
-
         for s in source_order:
             s_leaf_count = s.leaf_count()
-            s_is_leaf = s.is_leaf
-            for t, t_leaf_count in target_order:
+            for t, t_leaf_count in targets:
                 if self._pruned(
                     s, t, s_leaf_count, t_leaf_count, source_root, target_root
                 ):
                     result.pruned_pairs += 1
                     continue
-                both_leaves = s_is_leaf and t.is_leaf
-                if not both_leaves:
-                    sims.set_ssim(
-                        s, t, self._structural_similarity(s, t, sims)
-                    )
-                    if track_seq:
-                        # Snapshot BEFORE this pair's own scaling: a
-                        # pair that scales its own block must be
-                        # recomputed (the paper's pass-2 rationale).
-                        visit_seq[(s.node_id, t.node_id)] = (
-                            sims.mutation_seq
-                        )
-                # For a leaf pair the structural similarity IS the
-                # stored ssim, which wsim() reads directly — no
-                # separate probe needed.
-                wsim = sims.wsim(s, t)
-                result.wsim[(s.node_id, t.node_id)] = wsim
                 result.compared_pairs += 1
+                self._visit_pair(result, s, t, track_seq)
 
-                if wsim > thhigh:
-                    result.scaled_pairs += self._scale_leaf_pairs(
-                        s, t, sims, cinc
-                    )
-                elif wsim < thlow:
-                    result.scaled_pairs += self._scale_leaf_pairs(
-                        s, t, sims, cdec
-                    )
-        return result
+    def _run_swept(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[SchemaTreeNode],
+    ) -> None:
+        """Dense engine: leaf sweep, then the non-leaf walk (module
+        docstring: why the reorder is exact)."""
+        sims = result.sims
+        config = self.config
+        cells = sims.leaf_cells()
+        # Leaf-pair wsim as of their visit: before any scaling.
+        result.wsim = dict(zip(sims.leaf_pair_keys(), sims.leaf_wsim_values()))
+        sweep_span = trace.start_span("treematch.sweep")
+        scaled = crossed_rows = crossed_cols = 0
+        if self.context_adjustment:
+            scaled, crossed_rows, crossed_cols = sims.sweep_leaf_pairs(
+                config.thhigh, config.thlow, config.cinc, config.cdec
+            )
+        trace.end_span(
+            sweep_span,
+            cells=cells,
+            scaled_cells=scaled,
+            crossed_rows=crossed_rows,
+            crossed_cols=crossed_cols,
+        )
+        result.leaf_sweep_cells = cells
+        result.scaled_pairs = scaled
+
+        compared = cells
+        for s, band in self._walk_plan(
+            source_order, target_order, result.source_tree.root
+        ):
+            compared += len(band)
+            for k in band:
+                self._visit_pair(result, s, target_order[k], True)
+        result.compared_pairs = compared
+        result.pruned_pairs = len(source_order) * len(target_order) - compared
+
+    def _visit_pair(
+        self,
+        result: TreeMatchResult,
+        s: SchemaTreeNode,
+        t: SchemaTreeNode,
+        track_seq: bool,
+    ) -> None:
+        """Figure 3's body for one node pair: ssim, wsim, then the
+        cinc/cdec context adjustment of the pair's leaf block."""
+        sims = result.sims
+        key = (s.node_id, t.node_id)
+        if not (s.is_leaf and t.is_leaf):
+            sims.set_ssim(s, t, self._structural_similarity(s, t, sims))
+            if track_seq:
+                # Dense engine: remember the store state this pair saw
+                # — BEFORE its own scaling, since a pair that scales its
+                # own block must be recomputed (the paper's pass-2
+                # rationale) — so the second pass can prove most pairs
+                # clean and skip the strong-link rescan.
+                result.visit_seq[key] = sims.mutation_seq
+        # For a leaf pair the structural similarity IS the stored ssim,
+        # which wsim() reads directly — no separate probe needed.
+        wsim = sims.wsim(s, t)
+        result.wsim[key] = wsim
+        if not self.context_adjustment:
+            return
+        config = self.config
+        if wsim > config.thhigh:
+            result.scaled_pairs += self._scale_leaf_pairs(
+                s, t, sims, config.cinc
+            )
+        elif wsim < config.thlow:
+            result.scaled_pairs += self._scale_leaf_pairs(
+                s, t, sims, config.cdec
+            )
+
+    @staticmethod
+    def _sweepable(
+        sims: SimilarityStore,
+        source_order: List[SchemaTreeNode],
+        target_order: List[SchemaTreeNode],
+    ) -> bool:
+        """Can the leaf sweep stand in for every leaf×leaf pair? Yes on
+        a dense store whose layouts index exactly the trees' leaves."""
+        return (
+            isinstance(sims, DenseSimilarityStore)
+            and sims.indexes_leaves_of(source_order, source_side=True)
+            and sims.indexes_leaves_of(target_order, source_side=False)
+        )
+
+    def _walk_plan(
+        self,
+        source_order: List[SchemaTreeNode],
+        target_order: List[SchemaTreeNode],
+        source_root: SchemaTreeNode,
+    ) -> List[Tuple[SchemaTreeNode, List[int]]]:
+        """Per source node (post-order), the positions in
+        ``target_order`` of the targets its non-leaf pairs visit.
+
+        A row's list is the leaf-count band — the targets
+        :meth:`_pruned` keeps, gathered from per-leaf-count buckets and
+        kept in post-order — minus the leaf×leaf pairs the sweep
+        decided, plus the root pair, which is never pruned. Rows with
+        the same leaf count and leafness share one list.
+        """
+        positions_by_count: Dict[int, List[int]] = {}
+        inner = []
+        for k, t in enumerate(target_order):
+            positions_by_count.setdefault(t.leaf_count(), []).append(k)
+            inner.append(bool(t.children))
+        root_pos = len(target_order) - 1  # post-order ends at the root
+        bands: Dict[Tuple[int, bool], List[int]] = {}
+        plan = []
+        for s in source_order:
+            s_leaf_count = s.leaf_count()
+            leaf_row = not s.children
+            band = bands.get((s_leaf_count, leaf_row))
+            if band is None:
+                band = sorted(
+                    k
+                    for t_leaf_count, ks in positions_by_count.items()
+                    if self._in_band(s_leaf_count, t_leaf_count)
+                    for k in ks
+                )
+                if leaf_row:
+                    band = [k for k in band if inner[k]]
+                bands[(s_leaf_count, leaf_row)] = band
+            if (
+                s is source_root
+                and (inner[root_pos] or not leaf_row)
+                and root_pos not in band
+            ):
+                band = band + [root_pos]
+            if band:
+                plan.append((s, band))
+        return plan
 
     def _make_store(
         self,
@@ -295,12 +446,18 @@ class TreeMatch:
         target_root: SchemaTreeNode,
     ) -> bool:
         """Leaf-count ratio pruning (Section 6). Roots always compare."""
-        if not self.config.prune_by_leaf_count:
-            return False
         if s is source_root and t is target_root:
             return False
+        return not self._in_band(s_leaf_count, t_leaf_count)
+
+    def _in_band(self, s_leaf_count: int, t_leaf_count: int) -> bool:
+        """Are the subtree leaf counts within ``leaf_count_ratio`` of
+        each other ("say within a factor of 2")? Always, with pruning
+        off."""
+        if not self.config.prune_by_leaf_count:
+            return True
         ratio = self.config.leaf_count_ratio
-        return (
+        return not (
             s_leaf_count > ratio * t_leaf_count
             or t_leaf_count > ratio * s_leaf_count
         )
@@ -456,12 +613,26 @@ class TreeMatch:
     ) -> Dict[Tuple[int, int], float]:
         sims = result.sims
         self._frontier_memo = {}
-        refreshed: Dict[Tuple[int, int], float] = {}
-        source_root = result.source_tree.root
-        target_root = result.target_tree.root
-        target_order = [
-            (t, t.leaf_count()) for t in result.target_tree.postorder()
-        ]
+        source_order = result.source_tree.postorder()
+        target_order = result.target_tree.postorder()
+        result.recompute_pairs = 0
+        result.recompute_dirty = 0
+        result.recompute_skipped = 0
+        result.recompute_standdown = 0
+        if self._sweepable(sims, source_order, target_order):
+            # Leaf pairs pass through unchanged: read them in bulk and
+            # walk only the non-leaf pairs of the first pass.
+            refreshed = dict(
+                zip(sims.leaf_pair_keys(), sims.leaf_wsim_values())
+            )
+            plan = self._walk_plan(
+                source_order, target_order, result.source_tree.root
+            )
+        else:
+            refreshed = {}
+            plan = self._pairwise_plan(
+                result, source_order, target_order
+            )
         incremental = not force_full and isinstance(
             sims, DenseSimilarityStore
         )
@@ -482,48 +653,69 @@ class TreeMatch:
                 sims.frontier_leaf_indexed(
                     t, self._effective_leaves(t), source_side=False
                 )
-                for t, _ in target_order
+                for t in target_order
             ]
         visit_seq = result.visit_seq
-        result.recompute_pairs = 0
-        result.recompute_dirty = 0
-        result.recompute_skipped = 0
-        result.recompute_standdown = 0
-        for s in result.source_tree.postorder():
-            s_leaf_count = s.leaf_count()
+        for s, band in plan:
             s_is_leaf = s.is_leaf
             if pruned_frontiers:
                 s_frontier_ok = sims.frontier_leaf_indexed(
                     s, self._effective_leaves(s), source_side=True
                 )
-            for t_index, (t, t_leaf_count) in enumerate(target_order):
-                if self._pruned(
-                    s, t, s_leaf_count, t_leaf_count, source_root, target_root
-                ):
-                    continue
+            for k in band:
+                t = target_order[k]
                 key = (s.node_id, t.node_id)
-                if not (s_is_leaf and t.is_leaf):
-                    result.recompute_pairs += 1
-                    allowed = incremental
-                    if pruned_frontiers:
-                        allowed = s_frontier_ok and t_frontier_ok[t_index]
-                        if not allowed:
-                            result.recompute_standdown += 1
-                    if allowed:
-                        seq = visit_seq.get(key)
-                        if (
-                            seq is not None
-                            and sims.block_dirty_since(s, t, seq) is False
-                        ):
-                            # Clean block: the stored ssim/wsim already
-                            # equal what a rescan would produce.
-                            result.recompute_skipped += 1
-                            refreshed[key] = sims.wsim(s, t)
-                            continue
-                    result.recompute_dirty += 1
-                    sims.set_ssim(
-                        s, t, self._structural_similarity(s, t, sims)
-                    )
+                if s_is_leaf and t.is_leaf:
+                    refreshed[key] = sims.wsim(s, t)
+                    continue
+                result.recompute_pairs += 1
+                allowed = incremental
+                if pruned_frontiers:
+                    allowed = s_frontier_ok and t_frontier_ok[k]
+                    if not allowed:
+                        result.recompute_standdown += 1
+                if allowed:
+                    seq = visit_seq.get(key)
+                    if (
+                        seq is not None
+                        and sims.block_dirty_since(s, t, seq) is False
+                    ):
+                        # Clean block: the stored ssim/wsim already
+                        # equal what a rescan would produce.
+                        result.recompute_skipped += 1
+                        refreshed[key] = sims.wsim(s, t)
+                        continue
+                result.recompute_dirty += 1
+                sims.set_ssim(
+                    s, t, self._structural_similarity(s, t, sims)
+                )
                 refreshed[key] = sims.wsim(s, t)
         result.wsim = refreshed
         return refreshed
+
+    def _pairwise_plan(
+        self,
+        result: TreeMatchResult,
+        source_order: List[SchemaTreeNode],
+        target_order: List[SchemaTreeNode],
+    ) -> List[Tuple[SchemaTreeNode, List[int]]]:
+        """Every unpruned pair of the literal double loop, as
+        ``(source node, target positions)`` rows."""
+        counts = [t.leaf_count() for t in target_order]
+        source_root = result.source_tree.root
+        target_root = result.target_tree.root
+        plan = []
+        for s in source_order:
+            s_leaf_count = s.leaf_count()
+            plan.append((
+                s,
+                [
+                    k
+                    for k, t in enumerate(target_order)
+                    if not self._pruned(
+                        s, t, s_leaf_count, counts[k],
+                        source_root, target_root,
+                    )
+                ],
+            ))
+        return plan

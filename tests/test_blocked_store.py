@@ -84,7 +84,26 @@ def _assert_stores_equal(source_tree, target_tree, flat, blocked):
     assert blocked._col_seq == flat._col_seq
 
 
-def _run_interleaving(seed, backend, block_size, ops=120):
+#: (thhigh, thlow, cinc, cdec) settings the sweep interleavings cycle
+#: through: the default band, and a narrow band with factors large
+#: enough to clamp.
+SWEEP_SETTINGS = ((0.6, 0.35, 1.2, 0.9), (0.55, 0.45, 2.0, 0.5))
+
+
+def _sweep_both(flat, blocked, settings):
+    """Leaf sweep on both stores; same counts, same bulk reads."""
+    assert flat.sweep_leaf_pairs(*settings) == blocked.sweep_leaf_pairs(
+        *settings
+    )
+    assert blocked.leaf_wsim_values() == flat.leaf_wsim_values()
+    assert list(blocked.leaf_wsim_columns(0.5)) == list(
+        flat.leaf_wsim_columns(0.5)
+    )
+
+
+def _run_interleaving(seed, backend, block_size, ops=120, sweep_every=0):
+    """Random op sequence on both stores; with ``sweep_every`` > 0 a
+    whole-plane leaf sweep also runs before every that-many-th op."""
     source_tree, target_tree, flat, blocked = _make_stores(
         seed, backend, block_size
     )
@@ -96,6 +115,9 @@ def _run_interleaving(seed, backend, block_size, ops=120):
     factors = (0.5, 0.9, 1.0, 1.2, 2.0, 2.4)
 
     for step in range(ops):
+        if sweep_every and step % sweep_every == 0:
+            settings = SWEEP_SETTINGS[(step // sweep_every) % 2]
+            _sweep_both(flat, blocked, settings)
         op = rng.random()
         if op < 0.35:
             s = rng.choice(s_leaves)
@@ -155,6 +177,43 @@ class TestRandomizedInterleavings:
         monkeypatch.setattr(DenseSimilarityStore, "_VECTOR_MIN_CELLS", 1)
         record_property("forced_vectorization", True)
         _run_interleaving(13, "numpy", block_size=5)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("block_size", [0, 5])
+    def test_leaf_sweeps_interleaved(
+        self, block_size, backend, record_property
+    ):
+        """Whole-plane leaf sweeps between random writes and scales:
+        identical cells, counts, bulk reads and crossing stamps."""
+        record_property("block_size", block_size)
+        record_property("backend", backend)
+        _run_interleaving(
+            17, backend, block_size=block_size, sweep_every=25
+        )
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    def test_leaf_sweeps_forced_vectorization(
+        self, monkeypatch, record_property
+    ):
+        """Every tile, however small, through the numpy sweep path."""
+        monkeypatch.setattr(DenseSimilarityStore, "_VECTOR_MIN_CELLS", 1)
+        record_property("forced_vectorization", True)
+        _run_interleaving(23, "numpy", block_size=5, sweep_every=20)
+
+    def test_sweep_leaves_unchanged_tiles_virtual(self):
+        """A sweep whose decisions change no cell allocates nothing
+        (zero-compatibility cells scaled by cdec stay 0)."""
+        source_tree, target_tree, flat, blocked = _make_stores(
+            5, BACKENDS[-1], block_size=8
+        )
+        # Every cell is below thlow=2.0; cdec=1.0 changes no value.
+        counts = blocked.sweep_leaf_pairs(3.0, 2.0, 1.5, 1.0)
+        assert counts == flat.sweep_leaf_pairs(3.0, 2.0, 1.5, 1.0)
+        assert counts[0] == blocked.leaf_cells()
+        assert blocked.tiles_allocated() == 0
+        assert blocked.overlay_cells() == 0
+        assert blocked.mutation_seq == 0
+        _assert_stores_equal(source_tree, target_tree, flat, blocked)
 
     def test_overlay_solidify_transition(self, record_property):
         """An op sequence long enough to push overlay tiles over the

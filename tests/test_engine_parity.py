@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CupidMatcher
+from repro import CupidMatcher, MatchPipeline
 from repro.config import CupidConfig
 from repro.datasets.canonical import canonical_examples
 from repro.datasets.figure2 import figure2_po, figure2_purchase_order
@@ -322,3 +322,78 @@ class TestDenseStoreBehaviour:
             + (1.0 - config.wstruct_leaf) * dense.lsim(s, t)
         )
         assert dense.wsim(s, t) == expected
+
+
+class TestLeafSweepEngaged:
+    """The dense engine decides every leaf×leaf pair in one whole-plane
+    sweep; a silent fallback to the per-pair loop shows up as a
+    ``leaf_sweep_cells`` count below n_s·n_t."""
+
+    BACKENDS = ["stdlib"] + (["numpy"] if numpy_available() else [])
+
+    @staticmethod
+    def _pair():
+        generator = SchemaGenerator(seed=41)
+        schema = generator.generate(n_leaves=40, max_depth=3)
+        copy, _ = generator.perturb(
+            schema, PerturbationConfig(abbreviate=0.3, synonym=0.2)
+        )
+        return schema, copy
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("store", ["flat", "blocked"])
+    def test_default_match_sweeps_every_leaf_pair(self, store, backend):
+        pipeline = MatchPipeline.default(
+            config=CupidConfig(store=store, dense_backend=backend)
+        )
+        result = pipeline.run(*self._pair())
+        stats = pipeline.run_stats(result)
+        n_s = len(result.source_tree.root.leaves())
+        n_t = len(result.target_tree.root.leaves())
+        assert n_s >= 40 and n_t >= 40
+        assert stats["store"] == store
+        assert stats["backend"] == backend
+        assert stats["leaf_sweep_cells"] == n_s * n_t
+        assert stats["compared_pairs"] + stats["pruned_pairs"] == (
+            len(result.source_tree.nodes()) * len(result.target_tree.nodes())
+        )
+
+    def test_reference_engine_sweeps_nothing(self):
+        pipeline = MatchPipeline.default(
+            config=CupidConfig(engine="reference")
+        )
+        result = pipeline.run(*self._pair())
+        assert pipeline.run_stats(result)["leaf_sweep_cells"] == 0
+
+    def test_foreign_layout_falls_back_to_pairwise(self):
+        """Layouts that do not index the trees' leaves (built from
+        other trees) cannot stand in for the leaf pairs: the per-pair
+        loop runs, and its values equal the reference engine's."""
+        from repro.linguistic.lexicon import builtin_thesaurus
+        from repro.linguistic.matcher import LinguisticMatcher
+        from repro.structure.dense import LeafLayout
+        from repro.structure.treematch import TreeMatch
+        from repro.tree.construction import construct_schema_tree
+
+        schema, copy = self._pair()
+        config = CupidConfig()
+        lsim = LinguisticMatcher(builtin_thesaurus(), config).compute(
+            schema, copy
+        )
+        source_tree = construct_schema_tree(schema)
+        target_tree = construct_schema_tree(copy)
+        dense = TreeMatch(config).run(
+            source_tree,
+            target_tree,
+            lsim,
+            source_layout=LeafLayout(construct_schema_tree(schema)),
+            target_layout=LeafLayout(construct_schema_tree(copy)),
+        )
+        reference = TreeMatch(CupidConfig(engine="reference")).run(
+            source_tree, target_tree, lsim
+        )
+        assert dense.leaf_sweep_cells == 0
+        assert dense.compared_pairs == reference.compared_pairs
+        assert dense.pruned_pairs == reference.pruned_pairs
+        assert dense.scaled_pairs == reference.scaled_pairs
+        assert dense.wsim == reference.wsim

@@ -34,6 +34,8 @@ from repro.linguistic.kernel import FactoredLsimTable
 from repro.model.element import ElementKind, SchemaElement
 from repro.structure.blocked import BlockedSimilarityStore
 from repro.structure.dense import numpy_available
+from repro.tree.construction import construct_schema_tree
+from repro.tree.refint import augment_with_join_views
 from repro.tree.schema_tree import verify_interval_encoding
 
 pytestmark = pytest.mark.fuzz
@@ -297,6 +299,65 @@ class TestFuzzParityFull:
     @pytest.mark.parametrize("index", range(N_TIER1_PAIRS, N_FULL_PAIRS))
     def test_case(self, index, record_property):
         _check_case(index, record_property)
+        _check_postorder(index)
+
+
+# ----------------------------------------------------------------------
+# The ordering invariant the leaf sweep rests on
+# ----------------------------------------------------------------------
+
+def _assert_postorder_after_descendants(tree) -> None:
+    """Every node appears once in ``postorder()``, after each of its
+    proper descendants (every node reachable through its children)."""
+    order = tree.postorder()
+    position = {node.node_id: k for k, node in enumerate(order)}
+    assert len(position) == len(order) == len(tree.nodes())
+    for node in order:
+        here = position[node.node_id]
+        seen = set()
+        stack = list(node.children)
+        while stack:
+            below = stack.pop()
+            if below.node_id in seen:
+                continue
+            seen.add(below.node_id)
+            assert position[below.node_id] < here, (node, below)
+            stack.extend(below.children)
+
+
+def _check_postorder(index: int) -> bool:
+    """Check the invariant on case ``index``'s trees with join views on
+    and off; True when some tree was a DAG (a node with extra
+    parents)."""
+    params = _case_params(index)
+    saw_dag = False
+    for use_joins in (True, False):
+        for schema in _build_pair(params):
+            tree = construct_schema_tree(schema)
+            if use_joins:
+                augment_with_join_views(tree)
+            _assert_postorder_after_descendants(tree)
+            saw_dag = saw_dag or any(
+                node.extra_parents for node in tree.nodes()
+            )
+    return saw_dag
+
+
+class TestPostorderInvariant:
+    """TreeMatch's leaf sweep decides every leaf pair before any
+    non-leaf pair; that is exact because post-order puts each node
+    after all of its descendants (``structure/treematch.py`` module
+    docstring). Checked on every fuzz tree/DAG shape: the tier-1 cases
+    here, the rest in the full sweep."""
+
+    @pytest.mark.parametrize("index", range(N_TIER1_PAIRS))
+    def test_case(self, index):
+        _check_postorder(index)
+
+    def test_dag_shapes_covered(self):
+        """Degenerate-generator guard: join views must turn some tier-1
+        case into a real DAG."""
+        assert any(_check_postorder(i) for i in range(N_TIER1_PAIRS))
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")

@@ -176,7 +176,7 @@ class TestMatchSpans:
         schema, other = _pair()
         token = trace.bind_request_id("r000011")
         try:
-            CupidMatcher().match(schema, other)
+            result = CupidMatcher().match(schema, other)
         finally:
             trace.unbind_request_id(token)
         roots = trace.take_roots()
@@ -191,6 +191,16 @@ class TestMatchSpans:
         ]
         (passes,) = _find_all(roots, "treematch.run")
         assert passes.counters["compared_pairs"] > 0
+        # The leaf sweep is the first pass's one child span: every
+        # leaf pair of the plane, decided before the non-leaf walk.
+        assert [c.name for c in passes.children] == ["treematch.sweep"]
+        (sweep,) = passes.children
+        assert sweep.counters["cells"] == len(
+            result.source_tree.root.leaves()
+        ) * len(result.target_tree.root.leaves())
+        assert 0 < sweep.counters["scaled_cells"] <= sweep.counters["cells"]
+        assert sweep.counters["crossed_rows"] >= 0
+        assert sweep.counters["crossed_cols"] >= 0
         assert _find_all(roots, "treematch.recompute")
         # A match runs in-process: every span shares this pid and
         # carries the bound request id.

@@ -14,6 +14,7 @@ import pytest
 from repro import CupidMatcher, Matcher, MatchPipeline, baseline_pipeline
 from repro.baselines.pathname import PathNameMatcher
 from repro.baselines.topdown import TopDownMatcher
+from repro.config import CupidConfig
 from repro.datasets.figure2 import figure2_po, figure2_purchase_order
 from repro.exceptions import ReproError
 from repro.pipeline import (
@@ -27,6 +28,15 @@ from repro.pipeline import (
 def _mapping_signature(mapping):
     return sorted(
         (e.source_path, e.target_path, e.similarity) for e in mapping
+    )
+
+
+def _wsim_by_path(result):
+    source_paths = {n.node_id: n.path() for n in result.source_tree.nodes()}
+    target_paths = {n.node_id: n.path() for n in result.target_tree.nodes()}
+    return sorted(
+        (source_paths[s], target_paths[t], value)
+        for (s, t), value in result.treematch_result.wsim.items()
     )
 
 
@@ -172,6 +182,32 @@ class TestVariants:
         ).run(source, target)
         assert default.treematch_result.scaled_pairs > 0
         assert adjusted.treematch_result.scaled_pairs == 0
+
+    @pytest.mark.parametrize("store", ["flat", "blocked"])
+    def test_structural_no_context_dense_equals_reference(
+        self, schemas, store
+    ):
+        """The variant's one switch holds on both engines: the dense
+        leaf sweep scales nothing either, so dense == reference."""
+        source, target = schemas
+
+        def run(**overrides):
+            pipeline = MatchPipeline.default(
+                config=CupidConfig(**overrides)
+            ).with_variant("structural", "no-context")
+            return pipeline.run(source, target)
+
+        dense = run(engine="dense", store=store)
+        reference = run(engine="reference")
+        tm = dense.treematch_result
+        assert tm.leaf_sweep_cells > 0
+        assert tm.scaled_pairs == 0
+        assert reference.treematch_result.scaled_pairs == 0
+        assert _wsim_by_path(dense) == _wsim_by_path(reference)
+        for kind in ("leaf_mapping", "nonleaf_mapping"):
+            assert _mapping_signature(getattr(dense, kind)) == (
+                _mapping_signature(getattr(reference, kind))
+            )
 
     def test_default_variant_is_identity(self):
         pipeline = MatchPipeline.default()
